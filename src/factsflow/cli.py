@@ -12,14 +12,16 @@ Subcommands:
 * ``validate`` -- check a solution file against a network file
 
 Verbosity comes from ``-v`` or the ``FACTSFLOW_LOG`` environment variable
-(``debug`` enables the solver node trace).  All randomness flows from a
-single ``--seed`` fanned out per trial, so runs are reproducible.
+(``debug`` sends the solver node trace to stderr through :mod:`logging`).
+All randomness flows from a single ``--seed`` fanned out per trial, so runs
+are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -30,7 +32,7 @@ from .model import InputError, Network, validate_network, validate_solution
 from .linprog import lp_format
 from .formulations import build_mpf_program, midpoint_susceptances, solve_mpf
 from .maxflow import max_flow
-from .mip import MffConfig, solve_mff, build_mff_mip, choose_big_m
+from .mip import MffConfig, build_mff_relaxation, solve_mff
 from .iterative import multi_start_im, solve_im, start_susceptances
 from .gadgets import ExactCoverInstance, build_choice_network, build_exact_cover_network
 
@@ -131,14 +133,12 @@ def _cmd_mff(args) -> int:
         with open(args.warm_start, "r", encoding="utf-8") as fh:
             warm = caseio.deserialize_solution(fh.read())
     if args.dump_lp:
-        mip = build_mff_mip(net, args.big_m or choose_big_m(net))
-        _write(args.dump_lp, lp_format(mip.lp) + "\n")
+        builder, _, _ = build_mff_relaxation(net)
+        _write(args.dump_lp, lp_format(builder.lp) + "\n")
     config = MffConfig(
         gap_tol=args.gap,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        big_m=args.big_m,
-        log=_verbose(args),
     )
     result = solve_mff(net, config, warm_start=warm)
     print(f"{result.objective:.6f}")
@@ -313,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=1e-4)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--big-m", type=float, default=None)
     p.add_argument("--warm-start", help="solution JSON used as the incumbent")
     p.add_argument("--dump-lp", help="write the relaxation in LP text form")
     p.add_argument("-o", "--output")
@@ -357,11 +356,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    package_log = logging.getLogger("factsflow")
+    level = package_log.level
+    handler = logging.StreamHandler(sys.stderr) if _verbose(args) else None
+    if handler is not None:
+        package_log.addHandler(handler)
+        package_log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except (InputError, caseio.CaseParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if handler is not None:
+            package_log.removeHandler(handler)
+            package_log.setLevel(level)
 
 
 def main() -> None:

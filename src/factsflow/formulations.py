@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .linprog import LinearProgram, LpError, solve_lp
 from .model import (
@@ -34,10 +34,14 @@ from .model import (
 __all__ = [
     "SignPattern",
     "FlowSolveResult",
+    "ConeParts",
+    "NetworkLp",
+    "UNBOUNDED_S_CAP",
     "solve_mpf",
     "solve_mvf",
     "extract_signs",
     "recover_susceptances",
+    "directed_susceptance",
     "forced_sign_bits",
     "forced_flow_signs",
     "midpoint_susceptances",
@@ -91,7 +95,33 @@ class FlowSolveResult:
         )
 
 
-class _NetLp:
+#: Stand-in ceiling for susceptance intervals unbounded above.  Any finite
+#: susceptance is a legal choice on such a line; coupling the flow to the
+#: angle difference through this ceiling keeps the fixed-direction program
+#: inside the realisable region (simply dropping the upper coupling would
+#: admit flow across an exactly-zero angle difference, which no finite
+#: susceptance reproduces when the rest of the network pins the angles).
+#: The value balances generosity (physical susceptances here are O(10), and
+#: only synthetic fixtures carry unbounded intervals) against conditioning:
+#: recovered susceptances re-enter later programs as matrix coefficients, so
+#: large ceilings directly degrade the achievable objective accuracy.
+UNBOUNDED_S_CAP = 100.0
+
+
+class ConeParts(NamedTuple):
+    """Indices of one controllable line's parts in the cone-sum relaxation."""
+
+    dplus: int
+    dminus: int
+    fplus: int
+    fminus: int
+
+    def against(self, bit: int) -> tuple[int, int]:
+        """The parts that direction ``bit`` pins at zero."""
+        return (self.dminus, self.fminus) if bit == 1 else (self.dplus, self.fplus)
+
+
+class NetworkLp:
     """Shared scaffolding: theta / gen / load / flow variables and balance rows."""
 
     def __init__(self, net: Network):
@@ -118,6 +148,55 @@ class _NetLp:
             self.flow[ln.key] = self.lp.add_var(
                 f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity
             )
+
+    def add_power_law(self, ln: Line, s: float | None = None,
+                      bit: int | None = None) -> tuple[int, ...]:
+        """Write line ``ln``'s power law; return the direction variables added.
+
+        * ``s`` given: the fixed line ``f = s * dtheta``, an equality with
+          no direction variable;
+        * ``bit`` given: the direction is pinned (MVF), through one angle
+          part ``delta = sgn * dtheta >= 0``;
+        * neither: the cone-sum relaxation of both directions (MFF), through
+          the parts ``(dplus, dminus, fplus, fminus)`` with
+          ``dplus - dminus = dtheta`` and ``f = fplus - fminus``.
+
+        Each direction case is the cone ``s_min * delta <= sgn * f <= s_hi *
+        delta`` with ``s_hi = UNBOUNDED_S_CAP`` on intervals unbounded above.
+        """
+        lp = self.lp
+        f = self.flow[ln.key]
+        ta, tb = self.theta[ln.a], self.theta[ln.b]
+        tag = f"{ln.a}-{ln.b}"
+        if s is not None:
+            if s > 1.0:  # scale large susceptances out of the row for conditioning
+                lp.add_constraint({f: 1.0 / s, tb: -1.0, ta: 1.0}, "=", 0.0)
+            else:
+                lp.add_constraint({f: 1.0, tb: -s, ta: s}, "=", 0.0)
+            return ()
+        s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
+
+        def cone(delta: int, flow: int, sgn: float) -> None:
+            # The upper half is written as delta >= f / s_hi for benign scaling.
+            lp.add_constraint({flow: sgn, delta: -ln.s_min}, ">=", 0.0)
+            lp.add_constraint({delta: 1.0, flow: -sgn / s_hi}, ">=", 0.0)
+
+        if bit is not None:
+            if bit not in (0, 1):
+                raise InputError(f"bad direction bit {bit!r} for line {tag}")
+            sgn = 1.0 if bit == 1 else -1.0
+            delta = lp.add_var(f"delta[{tag}]", 0.0, math.inf)
+            lp.add_constraint({tb: sgn, ta: -sgn, delta: -1.0}, "=", 0.0)
+            cone(delta, f, sgn)
+            return (delta,)
+        parts = ConeParts(*(lp.add_var(f"{name}[{tag}]", 0.0, math.inf)
+                            for name in ConeParts._fields))
+        lp.add_constraint({parts.dplus: 1.0, parts.dminus: -1.0, tb: -1.0, ta: 1.0},
+                          "=", 0.0)
+        cone(parts.dplus, parts.fplus, 1.0)
+        cone(parts.dminus, parts.fminus, 1.0)
+        lp.add_constraint({f: 1.0, parts.fplus: -1.0, parts.fminus: 1.0}, "=", 0.0)
+        return parts
 
     def add_balance_rows(self) -> None:
         per_bus: dict[str, dict[int, float]] = {b.id: {} for b in self.net.buses}
@@ -163,7 +242,7 @@ def midpoint_susceptances(net: Network) -> dict[LineId, float]:
 
 
 def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None
-                      ) -> tuple[_NetLp, dict[LineId, float]]:
+                      ) -> tuple[NetworkLp, dict[LineId, float]]:
     """The fixed-susceptance LP and the validated susceptance point."""
     s = dict(s) if s is not None else {}
     pinned: dict[LineId, float] = {}
@@ -174,16 +253,9 @@ def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None
                 f"susceptance {val} for line {ln.a}-{ln.b} outside [{ln.s_min}, {ln.s_max}]"
             )
         pinned[ln.key] = val
-    builder = _NetLp(net)
-    lp = builder.lp
+    builder = NetworkLp(net)
     for ln in net.lines:
-        f = builder.flow[ln.key]
-        ta, tb = builder.theta[ln.a], builder.theta[ln.b]
-        s = pinned[ln.key]
-        if s > 1.0:  # scale large susceptances out of the row for conditioning
-            lp.add_constraint({f: 1.0 / s, tb: -1.0, ta: 1.0}, "=", 0.0)
-        else:
-            lp.add_constraint({f: 1.0, tb: -s, ta: s}, "=", 0.0)
+        builder.add_power_law(ln, s=pinned[ln.key])
     builder.add_balance_rows()
     builder.set_throughput_objective()
     return builder, pinned
@@ -201,19 +273,6 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
     if res.status != "optimal":
         raise LpError(f"fixed-susceptance solve returned {res.status}")
     return builder.extract(res.x, pinned)
-
-
-#: Stand-in ceiling for susceptance intervals unbounded above.  Any finite
-#: susceptance is a legal choice on such a line; coupling the flow to the
-#: angle difference through this ceiling keeps the fixed-direction program
-#: inside the realisable region (simply dropping the upper coupling would
-#: admit flow across an exactly-zero angle difference, which no finite
-#: susceptance reproduces when the rest of the network pins the angles).
-#: The value balances generosity (physical susceptances here are O(10), and
-#: only synthetic fixtures carry unbounded intervals) against conditioning:
-#: recovered susceptances re-enter later programs as matrix coefficients, so
-#: large ceilings directly degrade the achievable objective accuracy.
-UNBOUNDED_S_CAP = 100.0
 
 
 def solve_mvf(net: Network, pattern: SignPattern, tol: float = 1e-8,
@@ -242,36 +301,19 @@ def _solve_mvf_once(net: Network, pattern: SignPattern, tol: float,
                     pinned_flows: Mapping[LineId, float] | None):
     """One solve attempt; returns a result, ``None`` (infeasible pin), or an
     error message when the vertex was too degenerate to assemble."""
-    builder = _NetLp(net)
+    builder = NetworkLp(net)
     lp = builder.lp
     deltas: dict[LineId, int] = {}
     for ln in net.lines:
-        f = builder.flow[ln.key]
-        ta, tb = builder.theta[ln.a], builder.theta[ln.b]
         bit = pattern.bit(ln.key)
         if bit is None:
             if ln.is_facts:
                 raise InputError(
                     f"controllable line {ln.a}-{ln.b} lacks a direction bit"
                 )
-            s = ln.s_min
-            if s > 1.0:
-                lp.add_constraint({f: 1.0 / s, tb: -1.0, ta: 1.0}, "=", 0.0)
-            else:
-                lp.add_constraint({f: 1.0, tb: -s, ta: s}, "=", 0.0)
-            continue
-        delta = lp.add_var(f"delta[{ln.a}-{ln.b}]", 0.0, math.inf)
-        deltas[ln.key] = delta
-        s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
-        sgn = 1.0 if bit == 1 else -1.0
-        if bit not in (0, 1):
-            raise InputError(f"bad direction bit {bit!r} for line {ln.a}-{ln.b}")
-        # sgn * (theta[b] - theta[a]) = delta >= 0
-        lp.add_constraint({tb: sgn, ta: -sgn, delta: -1.0}, "=", 0.0)
-        # susceptance interval: s_min * delta <= sgn * f <= s_hi * delta,
-        # the upper half written as delta >= f / s_hi for benign scaling.
-        lp.add_constraint({f: sgn, delta: -ln.s_min}, ">=", 0.0)
-        lp.add_constraint({delta: 1.0, f: -sgn / s_hi}, ">=", 0.0)
+            builder.add_power_law(ln, s=ln.s_min)
+        else:
+            (deltas[ln.key],) = builder.add_power_law(ln, bit=bit)
     if pinned_flows:
         for key, value in pinned_flows.items():
             if key not in builder.flow:
@@ -285,31 +327,45 @@ def _solve_mvf_once(net: Network, pattern: SignPattern, tol: float,
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
 
-    # Susceptances come straight off the program's own variables: where the
-    # angle part is positive the ratio lies inside the interval by the very
-    # constraints that were just enforced, so a plain clamp is exact.
-    zero_tol = 2.5e-7
     suscept: dict[LineId, float] = {}
     for ln in net.lines:
         key = ln.key
         if key not in deltas:
             suscept[key] = ln.s_min
             continue
-        d = float(res.x[deltas[key]])
         f = abs(float(res.x[builder.flow[key]]))
-        if d > 1e-12 and f > zero_tol:
-            suscept[key] = min(max(f / d, ln.s_min), ln.s_max)
-        elif f <= zero_tol:
-            if d > 1e-12 and ln.s_min == 0.0:
-                suscept[key] = 0.0
-            elif math.isinf(ln.s_max):
-                suscept[key] = ln.s_min + 0.5
-            else:
-                suscept[key] = 0.5 * (ln.s_min + min(ln.s_max, 3.0 * ln.s_min))
-        else:
+        s = directed_susceptance(ln, float(res.x[deltas[key]]), f)
+        if s is None:
             return (f"line {ln.a}-{ln.b}: flow {f} across a vanishing angle "
                     "difference")
+        suscept[key] = s
     return builder.extract(res.x, suscept)
+
+
+def directed_susceptance(ln: Line, delta: float, flow: float) -> float | None:
+    """The susceptance of line ``ln`` at angle part ``delta >= 0`` and flow
+    magnitude ``flow``, or ``None`` for a flow across a vanishing angle.
+
+    The values come straight off a solved program's own variables: where the
+    angle part is positive the ratio lies inside the interval by the very
+    constraints that were enforced, so a plain clamp is exact.
+    """
+    zero_tol = 2.5e-7
+    if delta > 1e-12 and flow > zero_tol:
+        return min(max(flow / delta, ln.s_min), ln.s_max)
+    if flow <= zero_tol:
+        if delta > 1e-12 and ln.s_min == 0.0:
+            return 0.0
+        return _at_rest_susceptance(ln)
+    return None
+
+
+def _at_rest_susceptance(ln: Line) -> float:
+    """A strictly interior susceptance for a line at rest: the midpoint of
+    ``[s_min, min(s_max, 3 * s_min)]``, or ``s_min + 0.5`` when unbounded."""
+    if math.isinf(ln.s_max):
+        return ln.s_min + 0.5
+    return 0.5 * (ln.s_min + min(ln.s_max, 3.0 * ln.s_min))
 
 
 def extract_signs(net: Network, theta: Mapping[str, float],
@@ -356,11 +412,7 @@ def recover_susceptances(net: Network, theta: Mapping[str, float],
                 )
             out[key] = clamped
         elif abs(f) <= tol:
-            if math.isinf(ln.s_max):
-                hi = ln.s_min + 1.0
-            else:
-                hi = min(ln.s_max, 3.0 * ln.s_min)
-            out[key] = 0.5 * (ln.s_min + hi)
+            out[key] = _at_rest_susceptance(ln)
         else:
             raise InputError(
                 f"line {ln.a}-{ln.b}: flow {f} across a zero angle difference"

@@ -1,27 +1,35 @@
 """Exact maximum-throughput solver for networks with controllable lines.
 
 The product ``s * dtheta`` in the power law makes the problem non-convex as
-soon as a susceptance may vary.  The classic disjunctive reformulation
-splits each angle difference into a nonnegative positive part and negative
-part, gates them with a binary direction variable ``d`` and a big-M bound,
-and couples each part to the matching signed flow through the susceptance
-interval:
+soon as a susceptance may vary.  On a controllable line the operating point
+``(dtheta, f)`` must lie in one of two polyhedral cones, one per direction
+of the angle difference:
 
-    d in {0, 1}
-    0 <= dplus  <= d * M
-    0 <= dminus <= (1 - d) * M
+    C+ = {dtheta >= 0,  s_min * dtheta <= f <= s_hi * dtheta}
+    C- = {dtheta <= 0,  s_min * -dtheta <= -f <= s_hi * -dtheta}
+
+with ``s_hi = formulations.UNBOUNDED_S_CAP`` on intervals unbounded above,
+so the model is exact relative to that ceiling.  The convex hull of a union
+of cones is their Minkowski sum, so splitting the angle difference and the
+flow into nonnegative parts, one pair per cone,
+
     dplus - dminus = theta[b] - theta[a]
-    s_min * dplus  <= fplus  <= s_max * dplus     (upper half absent for
-    s_min * dminus <= fminus <= s_max * dminus     unbounded intervals)
+    s_min * dplus  <= fplus  <= s_hi * dplus
+    s_min * dminus <= fminus <= s_hi * dminus
     f = fplus - fminus
     flow balance at every bus, |f| <= capacity
 
-Relaxing the binaries gives an LP; the exact optimum is found by branch and
-bound over the direction bits.  Only controllable lines ever need
-branching: on a fixed line the interval is a point, the flow-susceptance
-inequalities pinch to ``f = s * dtheta`` for any split of the angle
-difference, and an integral direction bit can always be assigned after the
-fact without changing anything.
+is the exact convex-hull relaxation of the disjunction (Balas, "Disjunctive
+programming: properties of the convex hull of feasible points", Discrete
+Appl. Math. 89, 1998).  It needs no binary variable and no big-M.
+
+The exact optimum is found by branch and bound over the direction of each
+controllable line: bit 1 pins ``dminus`` and ``fminus`` at zero, bit 0 pins
+``dplus`` and ``fplus``.  A node whose LP point already puts every
+controllable line inside one of its two cones is realisable as it stands:
+its value is the best of its whole subtree, so it becomes an incumbent and
+closes the node.  Fixed lines carry no directional choice; their power law
+is the equality ``f = s * dtheta``.
 
 A brute-force reference — enumerate every direction assignment of the
 controllable lines and take the best fixed-direction LP — is provided for
@@ -31,55 +39,45 @@ small instances as :func:`enumerate_signs_oracle`.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .linprog import LinearProgram, solve_lp
+from .linprog import solve_lp
 from .model import (
     DEFAULT_TOL,
-    BusKind,
     InjectionSolution,
     InputError,
     LdcSolution,
+    Line,
     Network,
     validate_solution,
 )
 from .formulations import (
+    UNBOUNDED_S_CAP,
+    ConeParts,
+    NetworkLp,
     SignPattern,
+    directed_susceptance,
     extract_signs,
     forced_sign_bits,
     solve_mvf,
 )
 
 __all__ = [
-    "MffMip",
     "MffConfig",
     "MffResult",
     "OracleResult",
-    "build_mff_mip",
-    "choose_big_m",
+    "build_mff_relaxation",
     "solve_mff",
     "enumerate_signs_oracle",
 ]
 
 LineId = tuple[str, str]
 
-
-@dataclass
-class MffMip:
-    """The LP relaxation plus bookkeeping for the binary direction bits."""
-
-    lp: LinearProgram
-    big_m: float
-    binary_ids: dict[LineId, int]
-    theta: dict[str, int]
-    gen: dict[str, int]
-    load: dict[str, int]
-    flow: dict[LineId, int]
-    dplus: dict[LineId, int]
-    dminus: dict[LineId, int]
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,6 @@ class MffConfig:
     gap_tol: float = 1e-4
     time_limit: float | None = None
     node_limit: int | None = None
-    big_m: float | None = None
-    presolve_signs: bool = True
-    log: bool = False
 
 
 @dataclass
@@ -101,7 +96,8 @@ class MffResult:
     node_count: int
     wall_time: float
     termination: str  # "optimal" | "gap_reached" | "time_limit" | "node_limit"
-    big_m: float
+    #: Always ``False``: the cone-sum model has no big-M to retry.  Kept only
+    #: because the benchmark's tracer (``bench/tracing.py``) still reads it.
     big_m_retried: bool = False
 
 
@@ -112,154 +108,28 @@ class OracleResult:
     patterns_tried: int
 
 
-def choose_big_m(net: Network) -> float:
-    """A finite bound on any angle difference worth exploring.
+def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConeParts],
+                                                 dict[LineId, int]]:
+    """The cone-sum relaxation that every branch-and-bound node solves.
 
-    Each line contributes the largest angle difference it can sensibly span:
-    ``capacity / s_min`` when the susceptance is bounded away from zero.
-    When ``s_min`` is zero no finite bound exists in principle; the
-    heuristic denominator ``s_max * 1e-3`` (floored at 1e-9) stands in, and
-    :func:`solve_mff` audits the final solution against the bound and
-    re-solves once with a ten-fold bound if it came close.  Summing over all
-    lines dominates the spread along any simple path.
+    Returns the program's builder, the cone parts of each controllable line
+    and the direction bits fixed by presolve (:func:`forced_sign_bits`),
+    which are already pinned in the program's bounds.
     """
-    total = 0.0
+    builder = NetworkLp(net)
+    parts: dict[LineId, ConeParts] = {}
     for ln in net.lines:
-        if ln.s_min > 0.0:
-            total += ln.capacity / ln.s_min
+        if ln.is_facts:
+            parts[ln.key] = builder.add_power_law(ln)
         else:
-            denom = max(ln.s_max * 1e-3, 1e-9)
-            total += 0.0 if math.isinf(denom) else ln.capacity / denom
-    return max(total, 1.0)
-
-
-def build_mff_mip(net: Network, big_m: float) -> MffMip:
-    """Assemble the disjunctive model with the given big-M value."""
-    if big_m <= 0:
-        raise InputError("big-M must be positive")
-    lp = LinearProgram()
-    theta = {b.id: lp.add_var(f"theta[{b.id}]", -math.inf, math.inf) for b in net.buses}
-    for comp in net.components():
-        idx = theta[comp[0]]
-        lp.lb[idx] = 0.0
-        lp.ub[idx] = 0.0
-    gen, load = {}, {}
-    for bus in net.buses:
-        if bus.kind is BusKind.GENERATOR:
-            gen[bus.id] = lp.add_var(f"gen[{bus.id}]", 0.0, math.inf)
-        elif bus.kind is BusKind.LOAD:
-            load[bus.id] = lp.add_var(f"load[{bus.id}]", 0.0, math.inf)
-
-    binary_ids, flow, dplus, dminus = {}, {}, {}, {}
-    for ln in net.lines:
-        tag = f"{ln.a}-{ln.b}"
-        d = lp.add_var(f"d[{tag}]", 0.0, 1.0)
-        dp = lp.add_var(f"dplus[{tag}]", 0.0, math.inf)
-        dm = lp.add_var(f"dminus[{tag}]", 0.0, math.inf)
-        fp = lp.add_var(f"fplus[{tag}]", 0.0, math.inf)
-        fm = lp.add_var(f"fminus[{tag}]", 0.0, math.inf)
-        f = lp.add_var(f"flow[{tag}]", -ln.capacity, ln.capacity)
-        binary_ids[ln.key] = d
-        flow[ln.key] = f
-        dplus[ln.key] = dp
-        dminus[ln.key] = dm
-        # dplus <= d * M ; dminus <= (1 - d) * M
-        lp.add_constraint({dp: 1.0, d: -big_m}, "<=", 0.0)
-        lp.add_constraint({dm: 1.0, d: big_m}, "<=", big_m)
-        # dplus - dminus = theta[b] - theta[a]
-        lp.add_constraint({dp: 1.0, dm: -1.0, theta[ln.b]: -1.0, theta[ln.a]: 1.0}, "=", 0.0)
-        # susceptance interval couples signed flows to angle parts
-        lp.add_constraint({fp: 1.0, dp: -ln.s_min}, ">=", 0.0)
-        lp.add_constraint({fm: 1.0, dm: -ln.s_min}, ">=", 0.0)
-        if not math.isinf(ln.s_max):
-            lp.add_constraint({fp: 1.0, dp: -ln.s_max}, "<=", 0.0)
-            lp.add_constraint({fm: 1.0, dm: -ln.s_max}, "<=", 0.0)
-        # f = fplus - fminus  (capacity sits on the f bounds)
-        lp.add_constraint({f: 1.0, fp: -1.0, fm: 1.0}, "=", 0.0)
-
-    per_bus: dict[str, dict[int, float]] = {b.id: {} for b in net.buses}
-    for ln in net.lines:
-        per_bus[ln.a][flow[ln.key]] = 1.0
-        per_bus[ln.b][flow[ln.key]] = -1.0
-    for bus in net.buses:
-        coeffs = dict(per_bus[bus.id])
-        if bus.id in gen:
-            coeffs[gen[bus.id]] = -1.0
-        if bus.id in load:
-            coeffs[load[bus.id]] = 1.0
-        lp.add_constraint(coeffs, "=", 0.0)
-
-    lp.set_objective({i: 1.0 for i in gen.values()})
-    return MffMip(lp=lp, big_m=big_m, binary_ids=binary_ids, theta=theta,
-                  gen=gen, load=load, flow=flow, dplus=dplus, dminus=dminus)
-
-
-def _build_reduced_relaxation(net: Network, big_m: float) -> MffMip:
-    """Value-equivalent relaxation used inside the search.
-
-    Fixed lines carry no directional choice: for any split of the angle
-    difference their interval inequalities force ``f = s * dtheta``, so the
-    direction machinery (d, dplus, dminus, fplus, fminus) is dead weight.
-    This builder writes the power law directly for fixed lines and keeps the
-    full disjunction only on controllable ones, which shrinks search-node
-    LPs considerably without changing any optimum.
-    """
-    lp = LinearProgram()
-    theta = {b.id: lp.add_var(f"theta[{b.id}]", -math.inf, math.inf) for b in net.buses}
-    for comp in net.components():
-        idx = theta[comp[0]]
-        lp.lb[idx] = 0.0
-        lp.ub[idx] = 0.0
-    gen, load = {}, {}
-    for bus in net.buses:
-        if bus.kind is BusKind.GENERATOR:
-            gen[bus.id] = lp.add_var(f"gen[{bus.id}]", 0.0, math.inf)
-        elif bus.kind is BusKind.LOAD:
-            load[bus.id] = lp.add_var(f"load[{bus.id}]", 0.0, math.inf)
-
-    binary_ids, flow, dplus, dminus = {}, {}, {}, {}
-    for ln in net.lines:
-        tag = f"{ln.a}-{ln.b}"
-        f = lp.add_var(f"flow[{tag}]", -ln.capacity, ln.capacity)
-        flow[ln.key] = f
-        if not ln.is_facts:
-            lp.add_constraint(
-                {f: 1.0, theta[ln.b]: -ln.s_min, theta[ln.a]: ln.s_min}, "=", 0.0
-            )
-            continue
-        d = lp.add_var(f"d[{tag}]", 0.0, 1.0)
-        dp = lp.add_var(f"dplus[{tag}]", 0.0, math.inf)
-        dm = lp.add_var(f"dminus[{tag}]", 0.0, math.inf)
-        fp = lp.add_var(f"fplus[{tag}]", 0.0, math.inf)
-        fm = lp.add_var(f"fminus[{tag}]", 0.0, math.inf)
-        binary_ids[ln.key] = d
-        dplus[ln.key] = dp
-        dminus[ln.key] = dm
-        lp.add_constraint({dp: 1.0, d: -big_m}, "<=", 0.0)
-        lp.add_constraint({dm: 1.0, d: big_m}, "<=", big_m)
-        lp.add_constraint({dp: 1.0, dm: -1.0, theta[ln.b]: -1.0, theta[ln.a]: 1.0}, "=", 0.0)
-        lp.add_constraint({fp: 1.0, dp: -ln.s_min}, ">=", 0.0)
-        lp.add_constraint({fm: 1.0, dm: -ln.s_min}, ">=", 0.0)
-        if not math.isinf(ln.s_max):
-            lp.add_constraint({fp: 1.0, dp: -ln.s_max}, "<=", 0.0)
-            lp.add_constraint({fm: 1.0, dm: -ln.s_max}, "<=", 0.0)
-        lp.add_constraint({f: 1.0, fp: -1.0, fm: 1.0}, "=", 0.0)
-
-    per_bus: dict[str, dict[int, float]] = {b.id: {} for b in net.buses}
-    for ln in net.lines:
-        per_bus[ln.a][flow[ln.key]] = 1.0
-        per_bus[ln.b][flow[ln.key]] = -1.0
-    for bus in net.buses:
-        coeffs = dict(per_bus[bus.id])
-        if bus.id in gen:
-            coeffs[gen[bus.id]] = -1.0
-        if bus.id in load:
-            coeffs[load[bus.id]] = 1.0
-        lp.add_constraint(coeffs, "=", 0.0)
-
-    lp.set_objective({i: 1.0 for i in gen.values()})
-    return MffMip(lp=lp, big_m=big_m, binary_ids=binary_ids, theta=theta,
-                  gen=gen, load=load, flow=flow, dplus=dplus, dminus=dminus)
+            builder.add_power_law(ln, s=ln.s_min)
+    builder.add_balance_rows()
+    builder.set_throughput_objective()
+    forced = {k: b for k, b in forced_sign_bits(net).items() if k in parts}
+    for key, bit in forced.items():
+        for idx in parts[key].against(bit):
+            builder.lp.ub[idx] = 0.0
+    return builder, parts, forced
 
 
 def _zero_solution(net: Network) -> LdcSolution:
@@ -269,15 +139,34 @@ def _zero_solution(net: Network) -> LdcSolution:
     return LdcSolution(susceptance=suscept, theta=theta, injections=inj)
 
 
-def _integral_node_value(net: Network, bits: dict[LineId, int]) -> tuple[LdcSolution, float]:
-    """Exact realisable value of one integral direction assignment.
+def _cone_bit(ln: Line, dtheta: float, flow: float) -> int | None:
+    """The direction whose cone holds ``(dtheta, flow)``, bit 1 on a tie;
+    ``None`` when neither does."""
+    tol = 1e-7
+    s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
+    for bit, sgn in ((1, 1.0), (0, -1.0)):
+        d, f = sgn * dtheta, sgn * flow
+        if d >= -tol and ln.s_min * d - tol <= f <= s_hi * d + tol:
+            return bit
+    return None
 
-    Re-solving the fixed-direction program at the node's own bits (rather
-    than reading the relaxation vertex) keeps incumbents realisable and
-    agrees with the enumeration reference pattern for pattern.
-    """
-    mvf = solve_mvf(net, SignPattern(bits))
-    return mvf.solution, mvf.value
+
+def _node_solution(net: Network, builder: NetworkLp, x,
+                   bits: dict[LineId, int]) -> LdcSolution | None:
+    """The operating point of a closed node's LP vertex ``x``, or ``None``
+    when a line's susceptance cannot be read off it."""
+    suscept: dict[LineId, float] = {}
+    for ln in net.lines:
+        if ln.key not in bits:
+            suscept[ln.key] = ln.s_min
+            continue
+        sgn = 1.0 if bits[ln.key] == 1 else -1.0
+        dtheta = float(x[builder.theta[ln.b]]) - float(x[builder.theta[ln.a]])
+        s = directed_susceptance(ln, sgn * dtheta, abs(float(x[builder.flow[ln.key]])))
+        if s is None:
+            return None
+        suscept[ln.key] = s
+    return builder.extract(x, suscept).solution
 
 
 def solve_mff(net: Network, config: MffConfig | None = None,
@@ -288,7 +177,8 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     alternating heuristic) installs an initial incumbent, so the search can
     only improve on it.  Termination honours ``gap_tol`` (relative),
     ``time_limit`` (seconds) and ``node_limit``; the result always carries a
-    feasible solution and a valid upper bound.
+    feasible solution and a valid upper bound.  Each node is traced at
+    ``DEBUG`` level on this module's logger.
     """
     config = config or MffConfig()
     if config.time_limit is not None and config.time_limit <= 0:
@@ -297,31 +187,8 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         raise InputError("node_limit must be positive")
 
     start = time.monotonic()
-    big_m = config.big_m if config.big_m is not None else choose_big_m(net)
-    result = _branch_and_bound(net, big_m, config, warm_start, start)
-
-    # Audit: if the best solution presses against the big-M bound the model
-    # may have cut the true optimum; re-solve once with a ten-fold bound.
-    if config.big_m is None and _hits_big_m(net, result.solution, big_m):
-        retry = _branch_and_bound(net, 10.0 * big_m, config, warm_start, start)
-        if retry.objective >= result.objective - 1e-12:
-            result = retry
-        result.big_m_retried = True
-    return result
-
-
-def _hits_big_m(net: Network, sol: LdcSolution, big_m: float) -> bool:
-    for ln in net.lines:
-        d = abs(float(sol.theta[ln.b]) - float(sol.theta[ln.a]))
-        if d >= 0.999 * big_m:
-            return True
-    return False
-
-
-def _branch_and_bound(net: Network, big_m: float, config: MffConfig,
-                      warm_start: LdcSolution | None, start: float) -> MffResult:
-    mip = _build_reduced_relaxation(net, big_m)
-    cap_by_key = {ln.key: ln.capacity for ln in net.lines}
+    builder, parts, forced = build_mff_relaxation(net)
+    by_key = {ln.key: ln for ln in net.lines}
 
     incumbent_sol = _zero_solution(net)
     incumbent = 0.0
@@ -332,20 +199,8 @@ def _branch_and_bound(net: Network, big_m: float, config: MffConfig,
         incumbent_sol = warm_start
         incumbent = warm_start.objective()
 
-    branch_keys = [ln.key for ln in net.facts_lines()]
-    fixed_bits: dict[LineId, int] = {}
-    if config.presolve_signs:
-        forced = forced_sign_bits(net)
-        fixed_bits = {k: forced[k] for k in branch_keys if k in forced}
-        branch_keys = [k for k in branch_keys if k not in fixed_bits]
-
-    base_overrides: dict[int, tuple[float, float]] = {
-        mip.binary_ids[k]: (float(b), float(b)) for k, b in fixed_bits.items()
-    }
-
-    # Nodes: (parent bound, override dict for branched bits).
-    root: tuple[float, dict[int, tuple[float, float]]] = (math.inf, {})
-    stack = [root]
+    # Nodes: (parent bound, direction bits branched on so far).
+    stack: list[tuple[float, dict[LineId, int]]] = [(math.inf, {})]
     nodes = 0
     termination = "optimal"
 
@@ -359,46 +214,56 @@ def _branch_and_bound(net: Network, big_m: float, config: MffConfig,
         if nodes and nodes % 100 == 0:
             stack.sort(key=lambda item: item[0])  # best bound explored next
 
-        parent_bound, fixed = stack.pop()
+        parent_bound, branched = stack.pop()
         if parent_bound <= incumbent + 1e-9:
             continue
-        overrides = dict(base_overrides)
-        overrides.update(fixed)
-        res = solve_lp(mip.lp, 1e-8, bound_overrides=overrides)
+        overrides = {idx: (0.0, 0.0) for key, bit in branched.items()
+                     for idx in parts[key].against(bit)}
+        res = solve_lp(builder.lp, 1e-8, bound_overrides=overrides)
         nodes += 1
         if res.status != "optimal":
             continue  # relaxation infeasible under these fixings: prune
         bound = res.objective
-        if config.log:
-            print(f"node {nodes}: depth {len(fixed)} bound {bound:.6f} "
-                  f"incumbent {incumbent:.6f}")
+        logger.debug("node %d: depth %d bound %.6f incumbent %.6f",
+                     nodes, len(branched), bound, incumbent)
         if bound <= incumbent + 1e-9:
             continue
 
-        frac = []
-        for key in branch_keys:
-            idx = mip.binary_ids[key]
-            if idx in fixed:
+        x = res.x
+        bits = dict(forced)
+        bits.update(branched)
+        split = []  # undecided lines whose point lies in neither cone
+        for key, p in parts.items():
+            if key in bits:
                 continue
-            val = float(res.x[idx])
-            if abs(val - round(val)) > 1e-6:
-                frac.append((key, idx, val))
-        if not frac:
-            bits = dict(fixed_bits)
-            for key in branch_keys:
-                bits[key] = int(round(float(res.x[mip.binary_ids[key]])))
-            candidate, cand_value = _integral_node_value(net, bits)
-            if cand_value > incumbent:
-                incumbent = cand_value
+            ln = by_key[key]
+            dtheta = float(x[builder.theta[ln.b]] - x[builder.theta[ln.a]])
+            bit = _cone_bit(ln, dtheta, float(x[builder.flow[key]]))
+            if bit is None:
+                plus = float(x[p.dplus] + x[p.fplus])
+                minus = float(x[p.dminus] + x[p.fminus])
+                split.append((key, plus, minus))
+            else:
+                bits[key] = bit
+        if not split:
+            candidate = _node_solution(net, builder, x, bits)
+            if candidate is not None and validate_solution(net, candidate, DEFAULT_TOL).ok:
+                value = candidate.objective()
+            else:
+                mvf = solve_mvf(net, SignPattern(bits))
+                candidate, value = mvf.solution, mvf.value
+            if value > incumbent:
+                incumbent = value
                 incumbent_sol = candidate
         else:
-            key, idx, val = min(
-                frac, key=lambda item: (abs(item[2] - 0.5), -cap_by_key[item[0]])
-            )
-            first = int(round(val))  # rounding direction explored first
+            # Branch where the two cones share the line's point most evenly;
+            # the cone holding more of it is explored first.
+            key, plus, minus = max(split, key=lambda item: (
+                min(item[1], item[2]) / (item[1] + item[2]), by_key[item[0]].capacity))
+            first = 1 if plus >= minus else 0
             for bit in (1 - first, first):
-                child = dict(fixed)
-                child[idx] = (float(bit), float(bit))
+                child = dict(branched)
+                child[key] = bit
                 stack.append((bound, child))
 
         stack = [item for item in stack if item[0] > incumbent + 1e-9]
@@ -424,7 +289,6 @@ def _branch_and_bound(net: Network, big_m: float, config: MffConfig,
         node_count=nodes,
         wall_time=time.monotonic() - start,
         termination=termination,
-        big_m=big_m,
     )
 
 

@@ -144,9 +144,6 @@ class Network:
     def loads(self) -> list[Bus]:
         return [b for b in self.buses if b.kind is BusKind.LOAD]
 
-    def regular_lines(self) -> list[Line]:
-        return [ln for ln in self.lines if ln.kind is LineKind.REGULAR]
-
     def facts_lines(self) -> list[Line]:
         return [ln for ln in self.lines if ln.is_facts]
 

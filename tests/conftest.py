@@ -173,3 +173,16 @@ def random_unbounded_upper(seed: int, max_buses: int = 16) -> Network:
         if frozenset((a, b)) not in pairs:
             add(a, b)
     return Network(buses=buses, lines=tuple(lines))
+
+
+def random_partly_unbounded(seed: int) -> Network:
+    """``random_small_net(seed, max_lines=10)`` with about 40 % of its lines,
+    drawn in line order, made ``[s_min, inf)``."""
+    net = random_small_net(seed, max_lines=10)
+    rng = random.Random(10_000 + seed)
+    lines = tuple(
+        Line(ln.a, ln.b, ln.s_min, math.inf, ln.capacity, kind=ln.kind)
+        if rng.random() < 0.4 else ln
+        for ln in net.lines
+    )
+    return Network(buses=net.buses, lines=lines)

@@ -1,12 +1,15 @@
 """The command-line front end, driven through run_command."""
 
 import json
+import re
 
 import pytest
 
 from factsflow.cli import run_command
 from factsflow.caseio import deserialize_network, serialize_network
 from factsflow.model import validate_solution
+
+from conftest import tri_network
 
 CASE = """\
 function mpc = toy
@@ -78,6 +81,29 @@ def test_mpf_lp_dump(workdir):
     text = dump.read_text()
     assert "maximize" in text
     assert "subject to" in text
+
+
+@pytest.fixture
+def tri_f_path(tmp_path):
+    path = tmp_path / "tri_f.json"
+    path.write_text(serialize_network(tri_network(facts=True)))
+    return str(path)
+
+
+def test_mff_lp_dump_is_the_cone_sum_relaxation(tri_f_path, tmp_path):
+    dump = tmp_path / "mff.lp"
+    assert run_command(["mff", tri_f_path, "--dump-lp", str(dump)]) == 0
+    text = dump.read_text()
+    assert "dplus[g-l]" in text
+    assert re.search(r"\bd\[", text) is None  # no direction binary
+
+
+def test_mff_verbose_trace_stays_off_stdout(tri_f_path, capsys, monkeypatch):
+    monkeypatch.delenv("FACTSFLOW_LOG", raising=False)
+    assert run_command(["mff", "-v", tri_f_path, "--gap", "1e-9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["14.000000"]
+    assert "node 1:" in captured.err
 
 
 def test_scenario_rows_are_deterministic(workdir):

@@ -1,4 +1,4 @@
-"""The exact solver: model, big-M, branch and bound, enumeration reference."""
+"""The exact solver: cone-sum relaxation, branch and bound, enumeration reference."""
 
 import math
 
@@ -8,59 +8,47 @@ from factsflow.model import Bus, BusKind, InputError, Line, Network, validate_so
 from factsflow.linprog import solve_lp
 from factsflow.mip import (
     MffConfig,
-    build_mff_mip,
-    choose_big_m,
+    build_mff_relaxation,
     enumerate_signs_oracle,
     solve_mff,
 )
 from factsflow.maxflow import max_flow
 from factsflow.formulations import solve_mpf, midpoint_susceptances
 
-from conftest import random_small_net, tri_network
+from conftest import (
+    random_partly_unbounded,
+    random_small_net,
+    random_unbounded_upper,
+    tri_network,
+)
 
 
-class TestChooseBigM:
-    def test_single_line_with_positive_lower(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
-            lines=(Line("a", "b", 1.0, 2.0, 4.0),),
-        )
-        assert choose_big_m(net) == pytest.approx(4.0)
-
-    def test_zero_lower_uses_heuristic_denominator(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
-            lines=(Line("a", "b", 0.0, 2.0, 4.0),),
-        )
-        assert choose_big_m(net) == pytest.approx(4.0 / (2.0 * 1e-3))
-
-    def test_tri_sums_line_contributions(self, tri):
-        assert choose_big_m(tri) == pytest.approx(24.0)
-
-
-class TestBuildMffMip:
+class TestMffRelaxation:
     def test_single_fixed_line_relaxation_reaches_capacity(self, single_line):
-        mip = build_mff_mip(single_line, choose_big_m(single_line))
-        res = solve_lp(mip.lp)
+        builder, _, _ = build_mff_relaxation(single_line)
+        res = solve_lp(builder.lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(5.0)
 
     def test_degenerate_intervals_pinch_to_fixed_optimum(self, tri):
-        mip = build_mff_mip(tri, choose_big_m(tri))
-        res = solve_lp(mip.lp)
+        builder, _, _ = build_mff_relaxation(tri)
+        res = solve_lp(builder.lp)
         fixed = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
         assert res.objective == pytest.approx(fixed.value, abs=1e-6)
+        assert res.objective == pytest.approx(12.0, abs=1e-6)
 
-    def test_every_line_carries_direction_machinery(self, tri_f):
-        mip = build_mff_mip(tri_f, 24.0)
-        assert set(mip.binary_ids) == {ln.key for ln in tri_f.lines}
-        assert set(mip.dplus) == set(mip.binary_ids)
-        for idx in mip.binary_ids.values():
-            assert (mip.lp.lb[idx], mip.lp.ub[idx]) == (0.0, 1.0)
+    def test_direction_parts_only_on_controllable_lines(self, tri_f):
+        builder, parts, _ = build_mff_relaxation(tri_f)
+        assert set(parts) == {ln.key for ln in tri_f.facts_lines()} == {("g", "l")}
+        for name in builder.lp.names:
+            if name.startswith(("dplus", "dminus", "fplus", "fminus")):
+                assert name.endswith("[g-l]")
 
-    def test_rejects_nonpositive_big_m(self, tri_f):
-        with pytest.raises(InputError):
-            build_mff_mip(tri_f, 0.0)
+    def test_no_variable_is_a_bit(self, tri_f):
+        builder, _, _ = build_mff_relaxation(tri_f)
+        lp = builder.lp
+        assert all((lo, hi) != (0.0, 1.0) for lo, hi in zip(lp.lb, lp.ub))
+        assert not any(name.startswith("d[") for name in lp.names)
 
 
 class TestSolveMff:
@@ -118,14 +106,6 @@ class TestSolveMff:
             assert res.objective <= res.upper_bound + 1e-9
             assert validate_solution(net, res.solution).ok
 
-    def test_big_m_audit_fields(self, tri_f):
-        res = solve_mff(tri_f, MffConfig(gap_tol=1e-9))
-        assert res.big_m == pytest.approx(choose_big_m(tri_f))
-        assert res.big_m_retried is False  # angles stay far from the bound
-        override = solve_mff(tri_f, MffConfig(gap_tol=1e-9, big_m=100.0))
-        assert override.big_m == 100.0
-        assert override.objective == pytest.approx(res.objective, abs=1e-6)
-
 
 class TestEnumerateOracle:
     def test_single_controllable_line(self):
@@ -163,6 +143,63 @@ class TestEnumerateOracle:
             oracle = enumerate_signs_oracle(net)
             exact = solve_mff(net, MffConfig(gap_tol=1e-9))
             assert abs(oracle.value - exact.objective) <= 1e-6
+
+
+def _zero_lower_mesh() -> Network:
+    """A 7-bus mesh with four ``[0, t]`` lines on which a big-M model once
+    pruned the optimum: it reported 20.286282 with that as its bound."""
+    g, l, j = BusKind.GENERATOR, BusKind.LOAD, BusKind.JUNCTION
+    kinds = (j, g, j, l, l, j, g)
+    return Network(
+        buses=tuple(Bus(f"m{i}", k) for i, k in enumerate(kinds)),
+        lines=(
+            Line("m1", "m0", 1.011, 1.011, 3.0),
+            Line("m2", "m1", 0.0, 1.051, 3.25),
+            Line("m3", "m1", 1.118, 1.118, 2.5),
+            Line("m4", "m1", 0.0, 1.019, 8.0),
+            Line("m5", "m1", 0.0, 1.976, 7.25),
+            Line("m6", "m3", 1.03, 1.03, 6.0),
+            Line("m2", "m3", 1.129, 1.129, 0.75),
+            Line("m5", "m6", 0.847, 0.847, 6.5),
+            Line("m5", "m3", 1.373, 1.373, 6.0),
+            Line("m5", "m0", 0.0, 1.494, 1.0),
+        ),
+    )
+
+
+class TestColdSolvesMatchOracle:
+    """Cold solves (no warm start) against enumeration: the value must match
+    and the reported upper bound must not fall below the optimum."""
+
+    @staticmethod
+    def _mismatches(nets):
+        bad = []
+        for label, net in nets:
+            try:
+                oracle = enumerate_signs_oracle(net, max_lines=8)
+            except InputError:
+                continue  # too many free bits to enumerate quickly
+            res = solve_mff(net, MffConfig(gap_tol=1e-9))
+            if (abs(res.objective - oracle.value) > 1e-6
+                    or res.upper_bound < oracle.value - 1e-6
+                    or not validate_solution(net, res.solution).ok):
+                bad.append((label, oracle.value, res.objective, res.upper_bound))
+        return bad
+
+    def test_unbounded_upper_family(self):
+        # Seeds 3, 10 and 14 were reported optimal below the true value.
+        nets = ((seed, random_unbounded_upper(seed, max_buses=9)) for seed in range(30))
+        assert self._mismatches(nets) == []
+
+    def test_partly_unbounded_family(self):
+        # Seeds 28 and 70 were reported optimal below the true value.
+        nets = ((seed, random_partly_unbounded(seed)) for seed in range(100))
+        assert self._mismatches(nets) == []
+
+    def test_zero_lower_mesh(self):
+        net = _zero_lower_mesh()
+        assert enumerate_signs_oracle(net).value == pytest.approx(20.311563, abs=1e-6)
+        assert self._mismatches([("mesh", net)]) == []
 
 
 class TestMonotonicityInRelaxation:
