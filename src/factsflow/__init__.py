@@ -42,7 +42,6 @@ from .model import (
 from .formulations import (
     SignPattern,
     extract_signs,
-    recover_susceptances,
     solve_mpf,
     solve_mvf,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "validate_solution",
     "SignPattern",
     "extract_signs",
-    "recover_susceptances",
     "solve_mpf",
     "solve_mvf",
     "max_flow",

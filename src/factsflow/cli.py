@@ -20,6 +20,8 @@ are reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import logging
 import os
@@ -29,8 +31,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import caseio
 from .model import InputError, Network, validate_network, validate_solution
-from .linprog import lp_format
-from .formulations import build_mpf_program, midpoint_susceptances, solve_mpf
+from .linprog import LpError, lp_format
+from .formulations import build_mpf_program, solve_mpf
 from .maxflow import max_flow
 from .mip import MffConfig, build_mff_relaxation, solve_mff
 from .iterative import multi_start_im, solve_im, start_susceptances
@@ -88,15 +90,9 @@ def _cmd_mf(args) -> int:
     return 0
 
 
-def _susceptances_at(net: Network, which: str):
-    if which == "mid":
-        return midpoint_susceptances(net)
-    return start_susceptances(net, which)
-
-
 def _cmd_mpf(args) -> int:
     net = _load_network(args.network)
-    s = _susceptances_at(net, args.at)
+    s = start_susceptances(net, args.at)
     if args.dump_lp:
         builder, _ = build_mpf_program(net, s)
         _write(args.dump_lp, lp_format(builder.lp) + "\n")
@@ -110,7 +106,7 @@ def _cmd_mpf(args) -> int:
 def _cmd_im(args) -> int:
     net = _load_network(args.network)
     if args.starts == 3:
-        ms = multi_start_im(net, random_seed=args.seed)
+        ms = multi_start_im(net)
         result = ms.best
         if _verbose(args):
             for name, run in ms.runs.items():
@@ -150,31 +146,27 @@ def _cmd_mff(args) -> int:
     return 0
 
 
-def _run_trial(payload):
-    """One scenario trial; shaped for a worker pool."""
-    net_text, index, spec_args, mff_time, gap = payload
-    net = caseio.deserialize_network(net_text)
-    seed = caseio.derive_seed(spec_args["seed"], index)
+def _run_trial(net: Network, spec: caseio.ScenarioSpec, mff_time: float,
+               gap: float, index: int) -> str:
+    """One scenario trial as its CSV row; picklable for a worker pool."""
+    seed = caseio.derive_seed(spec.seed, index)
     t0 = time.monotonic()
-    variant = caseio.remove_random_lines(net, spec_args["lines_removed"], seed)
+    variant = caseio.remove_random_lines(net, spec.lines_removed, seed)
     variant = caseio.assign_facts(
-        variant, spec_args["facts_fraction"], spec_args["interval_pct"],
-        caseio.derive_seed(seed, 1),
+        variant, spec.facts_fraction, spec.interval_pct, caseio.derive_seed(seed, 1),
     )
-    if spec_args["gen_factor"] != 1.0 or spec_args["load_factor"] != 1.0:
-        variant = caseio.apply_congestion_factors(
-            variant, spec_args["gen_factor"], spec_args["load_factor"]
-        )
+    if spec.gen_factor != 1.0 or spec.load_factor != 1.0:
+        variant = caseio.apply_congestion_factors(variant, spec.gen_factor, spec.load_factor)
     mf_value = max_flow(variant).value
-    mpf_value = solve_mpf(variant, midpoint_susceptances(variant)).value
     im = multi_start_im(variant)
+    # The midpoint start's first step is the MPF at the interval midpoints.
+    mpf_value = im.runs["mid"].trace.steps[0][1]
     mff = solve_mff(
         variant,
         MffConfig(gap_tol=gap, time_limit=mff_time),
         warm_start=im.best.solution,
     )
-    runtime = time.monotonic() - t0
-    row = caseio.format_run_row(
+    return caseio.format_run_row(
         scenario=f"trial{index}",
         seed=seed,
         mpf=mpf_value,
@@ -182,9 +174,8 @@ def _run_trial(payload):
         mff=mff.objective,
         gap=mff.gap,
         mf=mf_value,
-        runtime_s=runtime,
+        runtime_s=time.monotonic() - t0,
     )
-    return index, row
 
 
 def _cmd_scenario(args) -> int:
@@ -197,37 +188,17 @@ def _cmd_scenario(args) -> int:
         gen_factor=args.gen_factor,
         load_factor=args.load_factor,
     )
-    spec_args = {
-        "seed": spec.seed,
-        "lines_removed": spec.lines_removed,
-        "facts_fraction": spec.facts_fraction,
-        "interval_pct": spec.interval_pct,
-        "gen_factor": spec.gen_factor,
-        "load_factor": spec.load_factor,
-    }
-    net_text = caseio.serialize_network(net)
-    payloads = [
-        (net_text, i, spec_args, args.mff_time_limit, args.gap)
-        for i in range(args.trials)
-    ]
+    trial = functools.partial(_run_trial, net, spec, args.mff_time_limit, args.gap)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         out.write(caseio.RUN_CSV_HEADER + "\n")
         out.flush()
-        if args.jobs > 1:
-            rows: dict[int, str] = {}
-            next_to_write = 0
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for index, row in pool.map(_run_trial, payloads):
-                    rows[index] = row
-                    while next_to_write in rows:
-                        out.write(rows.pop(next_to_write) + "\n")
-                        out.flush()
-                        next_to_write += 1
-        else:
-            for payload in payloads:
-                _, row = _run_trial(payload)
+        with contextlib.ExitStack() as stack:
+            run = map
+            if args.jobs > 1:
+                run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+            for row in run(trial, range(args.trials)):  # in trial order either way
                 out.write(row + "\n")
                 out.flush()
     finally:
@@ -302,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("im", parents=[common], help="alternating heuristic")
     p.add_argument("network")
     p.add_argument("--starts", type=int, choices=(1, 3), default=3)
-    p.add_argument("--seed", type=int, default=None,
-                   help="add one seeded-uniform start to the three")
     p.add_argument("--trace", help="write the objective trace as JSON")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_im)
@@ -364,7 +333,7 @@ def run_command(argv: list[str]) -> int:
         package_log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
-    except (InputError, caseio.CaseParseError, FileNotFoundError) as exc:
+    except (InputError, caseio.CaseParseError, FileNotFoundError, LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -10,9 +10,10 @@ Two linear programs are the workhorses of the whole package:
 
 Both never come back infeasible: the all-zero operating point satisfies any
 sign pattern.  Alongside them live the glue utilities that move between the
-two worlds: extracting a sign pattern from phase angles, recovering
-susceptances from an (angle, flow) pair, and a conservative presolve that
-pins angle-direction bits that every feasible operating point must share.
+two worlds: extracting a sign pattern from phase angles, reading a line's
+susceptance off a solved program's angle part and flow, and a conservative
+presolve that pins angle-direction bits that every feasible operating point
+must share.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "solve_mpf",
     "solve_mvf",
     "extract_signs",
-    "recover_susceptances",
     "directed_susceptance",
     "forced_sign_bits",
     "forced_flow_signs",
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 LineId = tuple[str, str]
+
+#: Angle differences within this of zero read as bit 1 in :func:`extract_signs`.
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -261,21 +264,20 @@ def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None
     return builder, pinned
 
 
-def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
-              tol: float = 1e-8) -> FlowSolveResult:
+def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> FlowSolveResult:
     """Maximum throughput with susceptances pinned at ``s``.
 
     ``s`` must lie inside each line's interval; lines omitted from ``s``
     default to ``s_min``.  Never infeasible (the zero point always works).
     """
     builder, pinned = build_mpf_program(net, s)
-    res = solve_lp(builder.lp, tol)
+    res = solve_lp(builder.lp)
     if res.status != "optimal":
         raise LpError(f"fixed-susceptance solve returned {res.status}")
     return builder.extract(res.x, pinned)
 
 
-def solve_mvf(net: Network, pattern: SignPattern, tol: float = 1e-8,
+def solve_mvf(net: Network, pattern: SignPattern,
               pinned_flows: Mapping[LineId, float] | None = None) -> FlowSolveResult | None:
     """Maximum throughput with angle-difference directions pinned by ``pattern``.
 
@@ -285,22 +287,10 @@ def solve_mvf(net: Network, pattern: SignPattern, tol: float = 1e-8,
     UNBOUNDED_S_CAP]`` so every vertex maps back to finite susceptances (see
     the constant's note).  ``pinned_flows`` forces selected line flows to
     exact values (used by verification sweeps); only then can the program be
-    infeasible, which is reported as ``None`` rather than an error.
+    infeasible, which is reported as ``None`` rather than an error.  A
+    vertex with flow across a vanishing angle part maps back to no
+    susceptance and raises :class:`LpError`.
     """
-    result = _solve_mvf_once(net, pattern, tol, pinned_flows)
-    if result is None or isinstance(result, FlowSolveResult):
-        return result
-    # Dust vertex (flow without matching angle part); one tighter retry.
-    result = _solve_mvf_once(net, pattern, 1e-10, pinned_flows)
-    if result is None or isinstance(result, FlowSolveResult):
-        return result
-    raise LpError(result)
-
-
-def _solve_mvf_once(net: Network, pattern: SignPattern, tol: float,
-                    pinned_flows: Mapping[LineId, float] | None):
-    """One solve attempt; returns a result, ``None`` (infeasible pin), or an
-    error message when the vertex was too degenerate to assemble."""
     builder = NetworkLp(net)
     lp = builder.lp
     deltas: dict[LineId, int] = {}
@@ -321,7 +311,7 @@ def _solve_mvf_once(net: Network, pattern: SignPattern, tol: float,
             lp.add_constraint({builder.flow[key]: 1.0}, "=", float(value))
     builder.add_balance_rows()
     builder.set_throughput_objective()
-    res = solve_lp(lp, tol)
+    res = solve_lp(lp)
     if res.status == "infeasible" and pinned_flows:
         return None
     if res.status != "optimal":
@@ -336,8 +326,8 @@ def _solve_mvf_once(net: Network, pattern: SignPattern, tol: float,
         f = abs(float(res.x[builder.flow[key]]))
         s = directed_susceptance(ln, float(res.x[deltas[key]]), f)
         if s is None:
-            return (f"line {ln.a}-{ln.b}: flow {f} across a vanishing angle "
-                    "difference")
+            raise LpError(f"line {ln.a}-{ln.b}: flow {f} across a vanishing angle "
+                          "difference")
         suscept[key] = s
     return builder.extract(res.x, suscept)
 
@@ -368,11 +358,10 @@ def _at_rest_susceptance(ln: Line) -> float:
     return 0.5 * (ln.s_min + min(ln.s_max, 3.0 * ln.s_min))
 
 
-def extract_signs(net: Network, theta: Mapping[str, float],
-                  tie_tol: float = 1e-9) -> SignPattern:
+def extract_signs(net: Network, theta: Mapping[str, float]) -> SignPattern:
     """Read the angle-difference direction of every line from ``theta``.
 
-    Ties (``|dtheta| <= tie_tol``) deterministically resolve to bit 1; a zero
+    Ties (``|dtheta| <= 1e-9``) deterministically resolve to bit 1; a zero
     difference is feasible under either bit, so any fixed rule is correct.
     """
     bits: dict[LineId, int] = {}
@@ -380,44 +369,8 @@ def extract_signs(net: Network, theta: Mapping[str, float],
         if ln.a not in theta or ln.b not in theta:
             raise InputError(f"theta misses an endpoint of line {ln.a}-{ln.b}")
         d = float(theta[ln.b]) - float(theta[ln.a])
-        bits[ln.key] = 1 if d > -tie_tol else 0
+        bits[ln.key] = 1 if d > -_TIE_TOL else 0
     return SignPattern(bits)
-
-
-def recover_susceptances(net: Network, theta: Mapping[str, float],
-                         flow: Mapping[LineId, float],
-                         tol: float = 1e-7) -> dict[LineId, float]:
-    """Derive per-line susceptances from angles and flows.
-
-    Where the angle difference is meaningful the susceptance is the ratio
-    ``f / dtheta`` clamped into the line's interval (clamping beyond
-    ``tol * max(1, |s|)`` signals numerically inconsistent inputs).  Lines at
-    rest (zero flow, zero difference) get a strictly interior value so later
-    iterations keep room to move:  the midpoint of ``[s_min, min(s_max,
-    3 * s_min)]``, or of ``[s_min, s_min + 1]`` when the interval is
-    unbounded.  A nonzero flow across a zero angle difference is an error.
-    """
-    out: dict[LineId, float] = {}
-    for ln in net.lines:
-        key = ln.key
-        f = float(flow.get(key, 0.0))
-        d = float(theta[ln.b]) - float(theta[ln.a])
-        if abs(d) > tol:
-            s = f / d
-            clamped = min(max(s, ln.s_min), ln.s_max)
-            if abs(clamped - s) > tol * max(1.0, abs(s)):
-                raise InputError(
-                    f"line {ln.a}-{ln.b}: ratio {s} falls {abs(clamped - s):.3g} "
-                    f"outside [{ln.s_min}, {ln.s_max}]"
-                )
-            out[key] = clamped
-        elif abs(f) <= tol:
-            out[key] = _at_rest_susceptance(ln)
-        else:
-            raise InputError(
-                f"line {ln.a}-{ln.b}: flow {f} across a zero angle difference"
-            )
-    return out
 
 
 def forced_flow_signs(net: Network) -> dict[LineId, int]:

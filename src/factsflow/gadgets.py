@@ -36,7 +36,6 @@ from .model import Bus, BusKind, InputError, Line, Network, validate_network
 from .mip import MffConfig, MffResult, enumerate_signs_oracle, solve_mff
 
 __all__ = [
-    "ChoiceSpec",
     "GadgetParts",
     "ChoiceBuilder",
     "ChoiceNetwork",
@@ -46,7 +45,6 @@ __all__ = [
     "ReductionNetwork",
     "ReductionCheck",
     "default_choice_builder",
-    "degenerate_choice_builder",
     "build_choice_network",
     "verify_choice",
     "build_exact_cover_network",
@@ -55,6 +53,14 @@ __all__ = [
 ]
 
 _PROBE = "__probe__"
+#: Id of the port bus of a standalone choice network.
+_PORT = "p"
+#: Port emissions swept by :func:`verify_choice`, as a share of ``x``.
+_GRID_STEP = Fraction(1, 20)
+#: Objective tolerance of the two-point optimality check.
+_VERIFY_TOL = 1e-6
+#: Free direction bits the enumeration in :func:`verify_choice` accepts.
+_MAX_FREE_BITS = 16
 
 
 class GadgetError(RuntimeError):
@@ -63,42 +69,6 @@ class GadgetError(RuntimeError):
     def __init__(self, message: str, verification: "ChoiceVerification | None" = None):
         super().__init__(message)
         self.verification = verification
-
-
-@dataclass(frozen=True)
-class ChoiceSpec:
-    """Canonical constants of the unit choice-gadget contract.
-
-    The inner optimum and a two-regime response of the absorption network
-    (ratio ``low_ratio`` below ``threshold``, ``high_ratio`` above, with the
-    base generation dropping by ``base_drop`` at the switch) are recorded as
-    exact rationals.  Builders are certified against the *behavioural* part
-    of the contract only — inner optimum and all-or-nothing emission; the
-    default builder's own response curve has the same dip-shaped class with
-    its own interior constants.
-    """
-
-    x: Fraction
-    inner_optimum: Fraction
-    base_generation: Fraction
-    generation_ratio: Fraction
-    low_ratio: Fraction
-    high_ratio: Fraction
-    threshold: Fraction
-    base_drop: Fraction
-
-    @classmethod
-    def reference(cls, x: Fraction = Fraction(1)) -> "ChoiceSpec":
-        return cls(
-            x=x,
-            inner_optimum=Fraction(61, 10) * x,
-            base_generation=Fraction(51, 10) * x,
-            generation_ratio=Fraction(1),
-            low_ratio=Fraction(2, 3),
-            high_ratio=Fraction(4, 3),
-            threshold=Fraction(13, 20),
-            base_drop=Fraction(1, 3),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,19 +171,6 @@ def default_choice_builder(x: Fraction, port: str, ns: str) -> GadgetParts:
                        expected_inner_opt=Fraction(61, 10) * X)
 
 
-def degenerate_choice_builder(x: Fraction, port: str, ns: str) -> GadgetParts:
-    """Negative control: a plain generator behind the port.
-
-    Its emission response is strictly monotone (every emitted unit is pure
-    gain), so it has a single optimum at full emission and must be rejected
-    by :func:`verify_choice`.
-    """
-    X = Fraction(x)
-    buses = (Bus(f"{ns}src", BusKind.GENERATOR),)
-    lines = (Line(f"{ns}src", port, 1, 1, float(X)),)
-    return GadgetParts(buses=buses, lines=lines, expected_inner_opt=X)
-
-
 @dataclass(frozen=True)
 class ChoiceNetwork:
     net: Network
@@ -223,23 +180,22 @@ class ChoiceNetwork:
 
 def build_choice_network(x: Fraction | float,
                          builder: ChoiceBuilder | None = None,
-                         port: str = "p",
                          verify: bool = False) -> ChoiceNetwork:
-    """Materialise a standalone choice network with its port bus.
+    """Materialise a standalone choice network with its port bus ``p``.
 
     With ``verify=True`` the behavioural contract is checked immediately and
     a failing builder raises :class:`GadgetError` carrying the report.
     """
     builder = builder or default_choice_builder
     x = Fraction(x).limit_denominator(10**9)
-    parts = builder(x, port, f"{port}.")
-    net = Network(buses=(Bus(port),) + tuple(parts.buses), lines=tuple(parts.lines))
+    parts = builder(x, _PORT, f"{_PORT}.")
+    net = Network(buses=(Bus(_PORT),) + tuple(parts.buses), lines=tuple(parts.lines))
     report = validate_network(net)
     if not report.ok:
         raise GadgetError(f"builder produced an invalid network:\n{report}")
-    built = ChoiceNetwork(net=net, port=port, expected_inner_opt=parts.expected_inner_opt)
+    built = ChoiceNetwork(net=net, port=_PORT, expected_inner_opt=parts.expected_inner_opt)
     if verify:
-        outcome = verify_choice(net, port, x, expected=parts.expected_inner_opt)
+        outcome = verify_choice(net, _PORT, x, expected=parts.expected_inner_opt)
         if not outcome.passed:
             raise GadgetError("builder failed behavioural verification", outcome)
     return built
@@ -256,18 +212,15 @@ class ChoiceVerification:
 
 
 def verify_choice(net: Network, port: str, x: Fraction | float,
-                  grid_step: Fraction = Fraction(1, 20),
-                  tol: float = 1e-6,
-                  max_lines: int = 16,
                   expected: Fraction | None = None) -> ChoiceVerification:
     """Certify the all-or-nothing emission behaviour of a gadget.
 
     A probe load of capacity ``x`` is attached at the port through a fixed
     line, the probe flow is pinned to each grid value ``w`` in turn
-    (granularity ``grid_step * x``, endpoints included), and the exact
-    optimum is computed by direction enumeration.  The gadget passes when
-    the maximum is attained, within ``tol``, exactly at ``w = 0`` and
-    ``w = x`` and every interior grid point is strictly worse.
+    (granularity ``x / 20``, endpoints included), and the exact optimum is
+    computed by direction enumeration.  The gadget passes when the maximum
+    is attained, within 1e-6, exactly at ``w = 0`` and ``w = x`` and every
+    interior grid point is strictly worse.
     """
     x = Fraction(x).limit_denominator(10**9)
     if x <= 0:
@@ -278,11 +231,11 @@ def verify_choice(net: Network, port: str, x: Fraction | float,
     )
     probe_key = (port, _PROBE)
 
-    steps = int(1 / grid_step)
+    steps = int(1 / _GRID_STEP)
     ws = [x * Fraction(k, steps) for k in range(steps + 1)]
     curve: list[tuple[float, float]] = []
     for w in ws:
-        res = enumerate_signs_oracle(probe_net, max_lines=max_lines,
+        res = enumerate_signs_oracle(probe_net, max_lines=_MAX_FREE_BITS,
                                      pinned_flows={probe_key: float(w)})
         curve.append((float(w), res.value))
 
@@ -290,18 +243,18 @@ def verify_choice(net: Network, port: str, x: Fraction | float,
     messages: list[str] = []
     end_lo, end_hi = curve[0][1], curve[-1][1]
     passed = True
-    if end_lo < best - tol:
+    if end_lo < best - _VERIFY_TOL:
         passed = False
         messages.append(f"zero emission is suboptimal: {end_lo} < {best}")
-    if end_hi < best - tol:
+    if end_hi < best - _VERIFY_TOL:
         passed = False
         messages.append(f"full emission is suboptimal: {end_hi} < {best}")
-    optimal = [w for w, v in curve if v >= best - tol]
+    optimal = [w for w, v in curve if v >= best - _VERIFY_TOL]
     for w, v in curve[1:-1]:
-        if v >= best - tol:
+        if v >= best - _VERIFY_TOL:
             passed = False
             messages.append(f"interior emission {w} ties the optimum ({v})")
-    if expected is not None and abs(end_lo - float(expected)) > tol:
+    if expected is not None and abs(end_lo - float(expected)) > _VERIFY_TOL:
         passed = False
         messages.append(
             f"inner optimum {end_lo} differs from expected {float(expected)}"
@@ -311,7 +264,7 @@ def verify_choice(net: Network, port: str, x: Fraction | float,
         inner_opt=best,
         optimal_emissions=optimal,
         curve=curve,
-        grid_step=float(grid_step),
+        grid_step=float(_GRID_STEP),
         messages=messages,
     )
 

@@ -20,18 +20,18 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .model import InputError, LdcSolution, Network
-from .formulations import (
-    SignPattern,
-    extract_signs,
-    midpoint_susceptances,
-    solve_mpf,
-    solve_mvf,
-)
+from .formulations import extract_signs, midpoint_susceptances, solve_mpf, solve_mvf
 
 __all__ = ["ImTrace", "ImResult", "MultiStartResult", "solve_im", "multi_start_im",
-           "start_susceptances", "random_start_susceptances"]
+           "start_susceptances"]
 
 LineId = tuple[str, str]
+
+#: A round that improves the objective by at most ``max(1e-9, _REL_TOL *
+#: |value|)`` ends the loop.
+_REL_TOL = 1e-7
+#: Rounds after which a run stops unconverged.
+_MAX_ITER = 1000
 
 
 @dataclass
@@ -39,8 +39,6 @@ class ImTrace:
     """Objective progression of one alternating run."""
 
     steps: list[tuple[str, float]] = field(default_factory=list)
-    final_pattern: SignPattern | None = None
-    final_susceptance: dict[LineId, float] = field(default_factory=dict)
     iterations: int = 0
     wall_time: float = 0.0
     converged: bool = True
@@ -89,39 +87,20 @@ def start_susceptances(net: Network, which: str) -> dict[LineId, float]:
     raise InputError(f"unknown start {which!r}")
 
 
-def random_start_susceptances(net: Network, seed: int) -> dict[LineId, float]:
-    """A seeded uniform point inside every interval (extra optional start).
-
-    Unbounded intervals draw uniformly from ``[s_min, s_min + 1]``.
-    """
-    import random
-
-    rng = random.Random(seed)
-    out: dict[LineId, float] = {}
-    for ln in sorted(net.lines, key=lambda l: l.key):
-        hi = ln.s_min + 1.0 if math.isinf(ln.s_max) else ln.s_max
-        out[ln.key] = rng.uniform(ln.s_min, hi)
-    return out
-
-
-def solve_im(net: Network, s0: Mapping[LineId, float],
-             rel_tol: float = 1e-7, max_iter: int = 1000) -> ImResult:
+def solve_im(net: Network, s0: Mapping[LineId, float]) -> ImResult:
     """Run the alternating loop from susceptances ``s0``.
 
     Terminates when the direction phase improves the susceptance phase by at
-    most ``max(1e-9, rel_tol * |value|)``, or after ``max_iter`` rounds (the
-    best point seen so far is then returned with ``converged=False``).
+    most ``max(1e-9, 1e-7 * |value|)``, or after 1000 rounds (the best point
+    seen so far is then returned with ``converged=False``).
     """
-    if max_iter <= 0:
-        raise InputError("max_iter must be positive")
     t0 = time.monotonic()
     trace = ImTrace()
     s = dict(s0)
     best_value = -math.inf
     best_solution: LdcSolution | None = None
-    pattern: SignPattern | None = None
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mpf = solve_mpf(net, s)
         trace.steps.append(("mpf", mpf.value))
         if mpf.value > best_value:
@@ -133,32 +112,19 @@ def solve_im(net: Network, s0: Mapping[LineId, float],
         if mvf.value > best_value:
             best_value, best_solution = mvf.value, mvf.solution
         s = dict(mvf.susceptance)
-        if mvf.value - mpf.value <= max(1e-9, rel_tol * abs(mpf.value)):
+        if mvf.value - mpf.value <= max(1e-9, _REL_TOL * abs(mpf.value)):
             break
     else:
         trace.converged = False
 
-    trace.final_pattern = pattern
-    trace.final_susceptance = s
     trace.wall_time = time.monotonic() - t0
     assert best_solution is not None
     return ImResult(value=best_value, solution=best_solution, trace=trace)
 
 
-def multi_start_im(net: Network, rel_tol: float = 1e-7,
-                   max_iter: int = 1000,
-                   random_seed: int | None = None) -> MultiStartResult:
-    """Best of three alternating runs started at lower, upper and midpoint.
-
-    ``random_seed`` adds one extra run from a seeded uniform point inside
-    the intervals (never part of the standard three-start pipeline).
-    """
-    runs: dict[str, ImResult] = {}
-    for which in ("lower", "upper", "mid"):
-        runs[which] = solve_im(net, start_susceptances(net, which),
-                               rel_tol=rel_tol, max_iter=max_iter)
-    if random_seed is not None:
-        runs["random"] = solve_im(net, random_start_susceptances(net, random_seed),
-                                  rel_tol=rel_tol, max_iter=max_iter)
+def multi_start_im(net: Network) -> MultiStartResult:
+    """Best of three alternating runs started at lower, upper and midpoint."""
+    runs = {which: solve_im(net, start_susceptances(net, which))
+            for which in ("lower", "upper", "mid")}
     best = max(runs.values(), key=lambda r: r.value)
     return MultiStartResult(best=best, runs=runs)

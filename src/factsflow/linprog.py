@@ -11,6 +11,11 @@ accuracy.
 Variables carry individual bounds which may be infinite on either side;
 constraints are linear expressions compared to a right-hand side with one of
 ``<=``, ``=``, ``>=``.  The objective is always maximised.
+
+Feasibility is judged at one fixed tolerance, 1e-7: phase 1 declares a
+program infeasible when its artificials sum above it, and the final check
+accepts a row or bound violation up to it, relative to the magnitude of the
+terms involved.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ __all__ = [
 ]
 
 INF = math.inf
+
+#: Feasibility tolerance of phase 1 and of the final verification.
+_FEAS_TOL = 1e-7
+#: Reduced costs at or below this magnitude do not make a column eligible.
+_COST_EPS = 1e-11
 
 _AT_LB = 0
 _AT_UB = 1
@@ -184,8 +194,7 @@ class _Tableau:
                 raise
             return False
 
-    def simplex(self, c: np.ndarray, *, eps: float = 1e-11,
-                max_iter: int | None = None, allow_unbounded: bool) -> str:
+    def simplex(self, c: np.ndarray, *, allow_unbounded: bool) -> str:
         """Run primal simplex for objective ``c`` (maximise).
 
         Entering candidates are tried in decreasing reduced-cost order;
@@ -195,8 +204,7 @@ class _Tableau:
         raises :class:`LpError` when the iteration limit is exceeded.
         """
         m, N = self.m, self.N
-        if max_iter is None:
-            max_iter = 200 * (m + N) + 2000
+        max_iter = 200 * (m + N) + 2000
         degenerate_streak = 0
         since_refresh = 0
         wedged = 0
@@ -213,10 +221,10 @@ class _Tableau:
             at_lb = (self.stat == _AT_LB) & movable
             at_ub = (self.stat == _AT_UB) & movable
             free = self.stat == _FREE
-            cand_dir[at_lb & (d > eps)] = 1.0
-            cand_dir[at_ub & (d < -eps)] = -1.0
-            cand_dir[free & (d > eps)] = 1.0
-            cand_dir[free & (d < -eps)] = -1.0
+            cand_dir[at_lb & (d > _COST_EPS)] = 1.0
+            cand_dir[at_ub & (d < -_COST_EPS)] = -1.0
+            cand_dir[free & (d > _COST_EPS)] = 1.0
+            cand_dir[free & (d < -_COST_EPS)] = -1.0
             eligible = np.nonzero(cand_dir != 0.0)[0]
             if eligible.size == 0:
                 return "optimal"
@@ -366,7 +374,7 @@ def _standard_form(lp: LinearProgram,
     return A, b, full_lb, full_ub, c
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-8,
+def solve_lp(lp: LinearProgram,
              bound_overrides: dict[int, tuple[float, float]] | None = None) -> LpResult:
     """Solve ``lp`` to optimality.
 
@@ -404,7 +412,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     c1[N:] = -1.0
     tab1.simplex(c1, allow_unbounded=False)
     art_total = float(np.sum(np.abs(tab1.values()[N:])))
-    if art_total > max(tol, 1e-7):
+    if art_total > _FEAS_TOL:
         return LpResult("infeasible", None, None)
 
     # Freeze artificials at zero and optimise the true objective.
@@ -420,16 +428,16 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     # tableau drifted beyond tolerance.  x includes the slack columns, so
     # rows must hold as equalities; bounds cover the senses.  Residuals are
     # judged relative to the magnitude of the row's own terms.
-    slack = max(tol, 1e-7)
     row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
     for attempt in range(2):
         resid = A @ x - b
-        tolerance = slack * np.maximum(1.0, np.maximum(np.abs(b), row_scale))
+        tolerance = _FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(b), row_scale))
         rows_ok = bool(np.all(np.abs(resid) <= tolerance))
         lo_gap = np.where(np.isfinite(lb), x - lb, 0.0)
         hi_gap = np.where(np.isfinite(ub), ub - x, 0.0)
         scale = np.maximum(1.0, np.abs(x))
-        bounds_ok = bool(np.all(lo_gap >= -slack * scale) and np.all(hi_gap >= -slack * scale))
+        bounds_ok = bool(np.all(lo_gap >= -_FEAS_TOL * scale)
+                         and np.all(hi_gap >= -_FEAS_TOL * scale))
         if rows_ok and bounds_ok:
             break
         if attempt == 1:

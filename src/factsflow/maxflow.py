@@ -12,9 +12,7 @@ the exact answer:
 
 In those cases an optimal acyclic flow can be *lifted* to a full operating
 point (angles plus susceptances) certifying that the bound is attained.  The
-lift solves a small feasibility LP over phase angles; for the all-intervals-
-``[0, t]`` case the explicit scale-the-susceptances construction is also
-provided as an independent cross-check.
+lift solves a small feasibility LP over phase angles.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .formulations import _at_rest_susceptance
 from .linprog import LinearProgram, LpError, solve_lp
 from .model import (
     BusKind,
@@ -40,10 +39,17 @@ __all__ = [
     "cancel_cycles",
     "lift_flow_to_ldc",
     "mff_via_lemma",
-    "scaled_lift_zero_lower",
 ]
 
 LineId = tuple[str, str]
+
+#: Flows and residual capacities at or below this count as zero.
+_FLOW_TOL = 1e-12
+#: Flows at or below this count as zero in a lift; a lift whose angle margin
+#: is at or below it has failed.
+_LIFT_TOL = 1e-9
+#: Alternative optimal flows tried after the first fails to lift.
+_LIFT_RETRIES = 5
 
 _SOURCE = object()
 _SINK = object()
@@ -81,7 +87,7 @@ class LiftFailure(Exception):
         self.flow = flow
 
 
-def max_flow(net: Network, tol: float = 1e-12) -> MfSolution:
+def max_flow(net: Network) -> MfSolution:
     """Maximum throughput ignoring the power law (augmenting-path method).
 
     Generators hang off a super source and loads feed a super sink, both
@@ -119,7 +125,7 @@ def max_flow(net: Network, tol: float = 1e-12) -> MfSolution:
             nxt = []
             for u in queue:
                 for v in arcs[u]:
-                    if v not in parent and residual(u, v) > tol:
+                    if v not in parent and residual(u, v) > _FLOW_TOL:
                         parent[v] = u
                         nxt.append(v)
             queue = nxt
@@ -155,7 +161,7 @@ def max_flow(net: Network, tol: float = 1e-12) -> MfSolution:
     return MfSolution(injections=inj, value=total)
 
 
-def cancel_cycles(net: Network, inj: InjectionSolution, tol: float = 1e-12) -> InjectionSolution:
+def cancel_cycles(net: Network, inj: InjectionSolution) -> InjectionSolution:
     """Remove directed flow cycles without touching any bus imbalance.
 
     Repeatedly finds a cycle in the graph of nonzero flows (arcs oriented by
@@ -168,9 +174,9 @@ def cancel_cycles(net: Network, inj: InjectionSolution, tol: float = 1e-12) -> I
         out: dict[str, list[tuple[str, LineId, float]]] = {}
         for ln in net.lines:
             f = flow.get(ln.key, 0.0)
-            if f > tol:
+            if f > _FLOW_TOL:
                 out.setdefault(ln.a, []).append((ln.b, ln.key, 1.0))
-            elif f < -tol:
+            elif f < -_FLOW_TOL:
                 out.setdefault(ln.b, []).append((ln.a, ln.key, -1.0))
         return out
 
@@ -210,13 +216,12 @@ def cancel_cycles(net: Network, inj: InjectionSolution, tol: float = 1e-12) -> I
         slack = min(abs(flow[key]) for key, _ in cycle)
         for key, sign in cycle:
             flow[key] -= sign * slack
-            if abs(flow[key]) <= tol:
+            if abs(flow[key]) <= _FLOW_TOL:
                 flow[key] = 0.0
     return InjectionSolution(flow=flow, gen=dict(inj.gen), load=dict(inj.load))
 
 
-def lift_flow_to_ldc(net: Network, inj: InjectionSolution,
-                     tol: float = 1e-9) -> LdcSolution:
+def lift_flow_to_ldc(net: Network, inj: InjectionSolution) -> LdcSolution:
     """Find angles and susceptances realising an acyclic conserved flow.
 
     With flows fixed, eliminating the susceptance turns the power law into
@@ -240,7 +245,7 @@ def lift_flow_to_ldc(net: Network, inj: InjectionSolution,
     for ln in net.lines:
         f = float(inj.flow.get(ln.key, 0.0))
         ta, tb = theta[ln.a], theta[ln.b]
-        if abs(f) <= tol:
+        if abs(f) <= _LIFT_TOL:
             if ln.s_min > 0.0:
                 lp.add_constraint({tb: 1.0, ta: -1.0}, "=", 0.0)
             continue
@@ -260,7 +265,7 @@ def lift_flow_to_ldc(net: Network, inj: InjectionSolution,
     res = solve_lp(lp)
     if res.status != "optimal":
         raise LiftInfeasible("no consistent phase-angle assignment")
-    if uses_margin and res.value(t_margin) <= tol:
+    if uses_margin and res.value(t_margin) <= _LIFT_TOL:
         raise LiftInfeasible(
             "flow needs an unbounded susceptance (zero margin on some line)"
         )
@@ -270,13 +275,8 @@ def lift_flow_to_ldc(net: Network, inj: InjectionSolution,
     suscept: dict[LineId, float] = {}
     for ln in net.lines:
         f = float(inj.flow.get(ln.key, 0.0))
-        if abs(f) <= tol:
-            if ln.s_min == 0.0:
-                suscept[ln.key] = 0.0
-            elif math.isinf(ln.s_max):
-                suscept[ln.key] = ln.s_min + 0.5
-            else:
-                suscept[ln.key] = 0.5 * (ln.s_min + min(ln.s_max, 3.0 * ln.s_min))
+        if abs(f) <= _LIFT_TOL:
+            suscept[ln.key] = 0.0 if ln.s_min == 0.0 else _at_rest_susceptance(ln)
             continue
         d = angles[ln.b] - angles[ln.a]
         if d == 0.0:
@@ -323,7 +323,7 @@ def _alternative_max_flow(net: Network, value: float, seed: int) -> InjectionSol
     return cancel_cycles(net, inj)
 
 
-def mff_via_lemma(net: Network, retries: int = 5) -> LemmaLift | None:
+def mff_via_lemma(net: Network) -> LemmaLift | None:
     """Constructive optimum for the three special cases, or ``None``.
 
     When the network is a tree, or every interval starts at zero, or every
@@ -333,7 +333,7 @@ def mff_via_lemma(net: Network, retries: int = 5) -> LemmaLift | None:
 
     Some optimal flows of the unbounded-above case cannot be lifted (zero
     flow forces equal angles, which may clash with ordering around cycles);
-    up to ``retries`` alternative optimal flows are tried before giving up
+    up to five alternative optimal flows are tried before giving up
     with :class:`LiftFailure`.
     """
     if net.is_tree():
@@ -348,81 +348,13 @@ def mff_via_lemma(net: Network, retries: int = 5) -> LemmaLift | None:
     mf = max_flow(net)
     inj = mf.injections
     last_flow = dict(inj.flow)
-    for attempt in range(retries + 1):
+    for attempt in range(_LIFT_RETRIES + 1):
         try:
             sol = lift_flow_to_ldc(net, inj)
             return LemmaLift(kind=kind, value=mf.value, solution=sol)
         except LiftInfeasible:
             last_flow = dict(inj.flow)
-            if attempt == retries:
+            if attempt == _LIFT_RETRIES:
                 break
             inj = _alternative_max_flow(net, mf.value, seed=1000 + attempt)
     raise LiftFailure(kind, mf.value, last_flow)
-
-
-def scaled_lift_zero_lower(net: Network, inj: InjectionSolution) -> LdcSolution:
-    """The explicit scaling construction for all-intervals-``[0, t]`` networks.
-
-    Preliminary angles respect the flow directions (topological ranks of the
-    acyclic flow graph), preliminary susceptances follow from the power law,
-    and one global scale factor pushes every susceptance under its upper
-    limit while angles stretch by the inverse factor.  Lines at rest simply
-    take susceptance zero (legal, since every interval starts at zero) with
-    their angle difference unconstrained; this sidesteps the equal-angle
-    requirement that can clash with the ordering around cycles.  Kept as an
-    independent cross-check of :func:`lift_flow_to_ldc`.
-    """
-    if not all(ln.s_min == 0.0 for ln in net.lines):
-        raise ValueError("construction applies only when every s_min is zero")
-
-    tol = 1e-12
-    arcs: dict[str, set[str]] = {b.id: set() for b in net.buses}
-    indeg = {b.id: 0 for b in net.buses}
-    for ln in net.lines:
-        f = float(inj.flow.get(ln.key, 0.0))
-        if abs(f) <= tol:
-            continue
-        lo, hi = (ln.a, ln.b) if f > 0 else (ln.b, ln.a)
-        if hi not in arcs[lo]:
-            arcs[lo].add(hi)
-            indeg[hi] += 1
-
-    order = [b for b in sorted(indeg) if indeg[b] == 0]
-    pos = 0
-    while pos < len(order):
-        cur = order[pos]
-        pos += 1
-        for nxt in sorted(arcs[cur]):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                order.append(nxt)
-    if len(order) != len(net.buses):
-        raise LiftInfeasible("flow graph is cyclic; cancel cycles first")
-
-    rank = {b: float(i + 1) for i, b in enumerate(order)}
-    changed = True
-    while changed:  # ensure every arc strictly increases the rank
-        changed = False
-        for cur in order:
-            for nxt in arcs[cur]:
-                if rank[nxt] <= rank[cur]:
-                    rank[nxt] = rank[cur] + 1.0
-                    changed = True
-
-    s_pre: dict[LineId, float] = {}
-    scale = math.inf
-    for ln in net.lines:
-        f = float(inj.flow.get(ln.key, 0.0))
-        if abs(f) <= tol:
-            s_pre[ln.key] = 0.0
-            continue
-        d = rank[ln.b] - rank[ln.a]
-        s_pre[ln.key] = f / d
-        if not math.isinf(ln.s_max):
-            scale = min(scale, ln.s_max / s_pre[ln.key])
-    if math.isinf(scale):
-        scale = 1.0
-
-    suscept = {k: scale * v for k, v in s_pre.items()}
-    theta = {b.id: rank[b.id] / scale for b in net.buses}
-    return LdcSolution(susceptance=suscept, theta=theta, injections=inj)

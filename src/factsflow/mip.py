@@ -219,7 +219,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             continue
         overrides = {idx: (0.0, 0.0) for key, bit in branched.items()
                      for idx in parts[key].against(bit)}
-        res = solve_lp(builder.lp, 1e-8, bound_overrides=overrides)
+        res = solve_lp(builder.lp, bound_overrides=overrides)
         nodes += 1
         if res.status != "optimal":
             continue  # relaxation infeasible under these fixings: prune

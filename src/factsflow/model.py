@@ -132,18 +132,6 @@ class Network:
     def has_bus(self, bus_id: str) -> bool:
         return bus_id in self._bus_index
 
-    def line(self, key: LineId) -> Line:
-        for ln in self.lines:
-            if ln.key == key:
-                return ln
-        raise InputError(f"unknown line {key!r}")
-
-    def generators(self) -> list[Bus]:
-        return [b for b in self.buses if b.kind is BusKind.GENERATOR]
-
-    def loads(self) -> list[Bus]:
-        return [b for b in self.buses if b.kind is BusKind.LOAD]
-
     def facts_lines(self) -> list[Line]:
         return [ln for ln in self.lines if ln.is_facts]
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from factsflow.gadgets import GadgetParts
 from factsflow.model import Bus, BusKind, Line, Network
 
 
@@ -186,3 +188,16 @@ def random_partly_unbounded(seed: int) -> Network:
         for ln in net.lines
     )
     return Network(buses=net.buses, lines=lines)
+
+
+def degenerate_choice_builder(x: Fraction, port: str, ns: str) -> GadgetParts:
+    """Negative-control choice builder: a plain generator behind the port.
+
+    Its emission response is strictly monotone (every emitted unit is pure
+    gain), so it has a single optimum at full emission and must be rejected
+    by ``verify_choice``.
+    """
+    X = Fraction(x)
+    buses = (Bus(f"{ns}src", BusKind.GENERATOR),)
+    lines = (Line(f"{ns}src", port, 1, 1, float(X)),)
+    return GadgetParts(buses=buses, lines=lines, expected_inner_opt=X)

@@ -20,12 +20,12 @@ from factsflow.gadgets import (
     ExactCoverInstance,
     build_choice_network,
     check_reduction,
-    degenerate_choice_builder,
     exact_cover_brute_force,
     verify_choice,
 )
 
 from conftest import (
+    degenerate_choice_builder,
     random_meshed_zero_lower,
     random_small_net,
     random_tree,

@@ -7,6 +7,7 @@ import pytest
 
 from factsflow.cli import run_command
 from factsflow.caseio import deserialize_network, serialize_network
+from factsflow.linprog import LpError
 from factsflow.model import validate_solution
 
 from conftest import tri_network
@@ -168,3 +169,15 @@ def test_bad_inputs_exit_nonzero(workdir, tmp_path):
     bogus.write_text("mpc.baseMVA = 100;\n")
     assert run_command(["convert", str(bogus)]) == 2
     assert run_command(["mpf", str(tmp_path / "missing.json")]) == 2
+
+
+def test_solver_failure_is_one_error_line(workdir, capsys, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise LpError("iteration limit exceeded")
+
+    monkeypatch.setattr("factsflow.cli.solve_mpf", failing_solve)
+    capsys.readouterr()  # drop what the fixture's convert printed
+    assert run_command(["mpf", str(workdir / "toy.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: iteration limit exceeded\n"

@@ -14,11 +14,11 @@ from factsflow.model import (
 )
 from factsflow.formulations import (
     SignPattern,
+    directed_susceptance,
     extract_signs,
     forced_flow_signs,
     forced_sign_bits,
     midpoint_susceptances,
-    recover_susceptances,
     solve_mpf,
     solve_mvf,
 )
@@ -101,37 +101,25 @@ class TestExtractSigns:
 
 
 class TestRecoverSusceptances:
-    def _net(self, lo, hi):
-        return Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
-            lines=(Line("a", "b", lo, hi, 100.0),),
-        )
+    """Susceptances read off an angle part and a flow by ``directed_susceptance``."""
+
+    def _line(self, lo, hi):
+        return Line("a", "b", lo, hi, 100.0)
 
     def test_plain_ratio(self):
-        net = self._net(1.0, 3.0)
-        s = recover_susceptances(net, {"a": 0.0, "b": 3.0}, {("a", "b"): 6.0})
-        assert s[("a", "b")] == pytest.approx(2.0)
+        assert directed_susceptance(self._line(1.0, 3.0), 3.0, 6.0) == pytest.approx(2.0)
+        # the ratio comes off a solved program's own rows, so it is clamped
+        assert directed_susceptance(self._line(1.0, 2.0), 1.0, 5.0) == 2.0
 
     def test_rest_uses_shrunk_midpoint(self):
-        net = self._net(1.0, 2.0)
-        s = recover_susceptances(net, {"a": 0.0, "b": 0.0}, {("a", "b"): 0.0})
-        assert s[("a", "b")] == pytest.approx(1.5)
-        wide = self._net(1.0, 10.0)
-        s = recover_susceptances(wide, {"a": 0.0, "b": 0.0}, {("a", "b"): 0.0})
-        assert s[("a", "b")] == pytest.approx(2.0)  # midpoint of [1, 3]
-        unbounded = self._net(1.0, math.inf)
-        s = recover_susceptances(unbounded, {"a": 0.0, "b": 0.0}, {("a", "b"): 0.0})
-        assert s[("a", "b")] == pytest.approx(1.5)  # midpoint of [1, 2]
+        assert directed_susceptance(self._line(1.0, 2.0), 0.0, 0.0) == pytest.approx(1.5)
+        # midpoint of [1, 3]
+        assert directed_susceptance(self._line(1.0, 10.0), 0.0, 0.0) == pytest.approx(2.0)
+        # midpoint of [1, 2]
+        assert directed_susceptance(self._line(1.0, math.inf), 0.0, 0.0) == pytest.approx(1.5)
 
-    def test_flow_across_zero_difference_is_an_error(self):
-        net = self._net(1.0, 3.0)
-        with pytest.raises(InputError):
-            recover_susceptances(net, {"a": 0.0, "b": 1e-12}, {("a", "b"): 5.0})
-
-    def test_ratio_outside_interval_is_an_error(self):
-        net = self._net(1.0, 2.0)
-        with pytest.raises(InputError):
-            recover_susceptances(net, {"a": 0.0, "b": 1.0}, {("a", "b"): 5.0})
+    def test_flow_across_vanishing_angle_has_no_susceptance(self):
+        assert directed_susceptance(self._line(1.0, 3.0), 1e-13, 5.0) is None
 
 
 class TestForcedSigns:

@@ -6,32 +6,17 @@ import pytest
 
 from factsflow.model import InputError, validate_network
 from factsflow.gadgets import (
-    ChoiceSpec,
     ExactCoverInstance,
     GadgetError,
     build_choice_network,
     build_exact_cover_network,
     check_reduction,
     default_choice_builder,
-    degenerate_choice_builder,
     exact_cover_brute_force,
     verify_choice,
 )
 
-
-class TestChoiceSpec:
-    def test_reference_constants_are_exact_rationals(self):
-        spec = ChoiceSpec.reference()
-        assert spec.inner_optimum == Fraction(61, 10)
-        assert spec.base_generation == Fraction(51, 10)
-        assert spec.low_ratio == Fraction(2, 3)
-        assert spec.high_ratio == Fraction(4, 3)
-        assert spec.threshold == Fraction(13, 20)
-        assert spec.base_drop == Fraction(1, 3)
-
-    def test_reference_scales_with_x(self):
-        spec = ChoiceSpec.reference(Fraction(3))
-        assert spec.inner_optimum == Fraction(183, 10)
+from conftest import degenerate_choice_builder
 
 
 class TestDefaultBuilder:

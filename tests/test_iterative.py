@@ -46,7 +46,7 @@ class TestSolveIm:
     def test_termination_within_budget(self):
         for seed in range(40):
             net = random_small_net(seed)
-            res = solve_im(net, start_susceptances(net, "upper"), max_iter=1000)
+            res = solve_im(net, start_susceptances(net, "upper"))
             assert res.trace.iterations <= 1000
             assert res.trace.converged
 

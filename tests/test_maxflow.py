@@ -8,6 +8,7 @@ from factsflow.model import (
     Bus,
     BusKind,
     InjectionSolution,
+    LdcSolution,
     Line,
     Network,
     check_kirchhoff,
@@ -20,7 +21,6 @@ from factsflow.maxflow import (
     lift_flow_to_ldc,
     max_flow,
     mff_via_lemma,
-    scaled_lift_zero_lower,
 )
 from factsflow.mip import MffConfig, solve_mff
 
@@ -159,6 +159,74 @@ class TestMffViaLemma:
             exact = solve_mff(net, MffConfig(gap_tol=1e-9),
                               warm_start=lift.solution)
             assert abs(lift.value - exact.objective) <= 1e-6
+
+
+def scaled_lift_zero_lower(net: Network, inj: InjectionSolution) -> LdcSolution:
+    """The explicit scaling construction for all-intervals-``[0, t]`` networks.
+
+    Preliminary angles respect the flow directions (topological ranks of the
+    acyclic flow graph), preliminary susceptances follow from the power law,
+    and one global scale factor pushes every susceptance under its upper
+    limit while angles stretch by the inverse factor.  Lines at rest simply
+    take susceptance zero (legal, since every interval starts at zero) with
+    their angle difference unconstrained; this sidesteps the equal-angle
+    requirement that can clash with the ordering around cycles.  Kept as an
+    independent cross-check of ``lift_flow_to_ldc``.
+    """
+    if not all(ln.s_min == 0.0 for ln in net.lines):
+        raise ValueError("construction applies only when every s_min is zero")
+
+    tol = 1e-12
+    arcs: dict[str, set[str]] = {b.id: set() for b in net.buses}
+    indeg = {b.id: 0 for b in net.buses}
+    for ln in net.lines:
+        f = float(inj.flow.get(ln.key, 0.0))
+        if abs(f) <= tol:
+            continue
+        lo, hi = (ln.a, ln.b) if f > 0 else (ln.b, ln.a)
+        if hi not in arcs[lo]:
+            arcs[lo].add(hi)
+            indeg[hi] += 1
+
+    order = [b for b in sorted(indeg) if indeg[b] == 0]
+    pos = 0
+    while pos < len(order):
+        cur = order[pos]
+        pos += 1
+        for nxt in sorted(arcs[cur]):
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                order.append(nxt)
+    if len(order) != len(net.buses):
+        raise LiftInfeasible("flow graph is cyclic; cancel cycles first")
+
+    rank = {b: float(i + 1) for i, b in enumerate(order)}
+    changed = True
+    while changed:  # ensure every arc strictly increases the rank
+        changed = False
+        for cur in order:
+            for nxt in arcs[cur]:
+                if rank[nxt] <= rank[cur]:
+                    rank[nxt] = rank[cur] + 1.0
+                    changed = True
+
+    s_pre: dict[tuple[str, str], float] = {}
+    scale = math.inf
+    for ln in net.lines:
+        f = float(inj.flow.get(ln.key, 0.0))
+        if abs(f) <= tol:
+            s_pre[ln.key] = 0.0
+            continue
+        d = rank[ln.b] - rank[ln.a]
+        s_pre[ln.key] = f / d
+        if not math.isinf(ln.s_max):
+            scale = min(scale, ln.s_max / s_pre[ln.key])
+    if math.isinf(scale):
+        scale = 1.0
+
+    suscept = {k: scale * v for k, v in s_pre.items()}
+    theta = {b.id: rank[b.id] / scale for b in net.buses}
+    return LdcSolution(susceptance=suscept, theta=theta, injections=inj)
 
 
 class TestScalingConstruction:
