@@ -40,7 +40,6 @@ from .model import (
     validate_solution,
 )
 from .formulations import (
-    SignPattern,
     extract_signs,
     solve_mpf,
     solve_mvf,
@@ -65,7 +64,6 @@ __all__ = [
     "check_power_law",
     "validate_network",
     "validate_solution",
-    "SignPattern",
     "extract_signs",
     "solve_mpf",
     "solve_mvf",

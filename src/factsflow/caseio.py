@@ -388,6 +388,20 @@ def _decode_s_max(value) -> float:
     raise InputError(f"bad s_max value {value!r}")
 
 
+def _field(entry: dict, name: str, where: str):
+    try:
+        return entry[name]
+    except KeyError:
+        raise InputError(f"{where} misses field {name!r}") from None
+
+
+def _number(value, name: str, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where} has non-numeric {name} {value!r}") from None
+
+
 def serialize_network(net: Network) -> str:
     doc = {
         "schema": _NETWORK_SCHEMA,
@@ -426,7 +440,7 @@ def deserialize_network(text: str) -> Network:
             kind = BusKind(entry.get("kind", "junction"))
         except ValueError:
             raise InputError(f"bad bus kind {entry.get('kind')!r}") from None
-        buses.append(Bus(str(entry["id"]), kind))
+        buses.append(Bus(str(_field(entry, "id", "bus entry")), kind))
     lines = []
     for entry in doc.get("lines", []):
         extra = set(entry) - _LINE_FIELDS
@@ -436,13 +450,15 @@ def deserialize_network(text: str) -> Network:
             kind = LineKind(entry.get("kind", "regular"))
         except ValueError:
             raise InputError(f"bad line kind {entry.get('kind')!r}") from None
+        a, b = (str(_field(entry, end, "line entry")) for end in ("a", "b"))
+        where = f"line {a}-{b}"
         lines.append(
             Line(
-                str(entry["a"]),
-                str(entry["b"]),
-                float(entry["s_min"]),
-                _decode_s_max(entry["s_max"]),
-                float(entry["capacity"]),
+                a,
+                b,
+                _number(_field(entry, "s_min", where), "s_min", where),
+                _decode_s_max(_field(entry, "s_max", where)),
+                _number(_field(entry, "capacity", where), "capacity", where),
                 kind=kind,
             )
         )
@@ -481,19 +497,23 @@ def deserialize_solution(text: str) -> LdcSolution:
     if extra:
         raise InputError(f"unknown field {sorted(extra)[0]!r} in solution document")
 
-    def line_map(entries) -> dict[LineId, float]:
+    def line_map(name: str) -> dict[LineId, float]:
         out = {}
-        for e in entries:
-            out[(str(e["a"]), str(e["b"]))] = float(e["value"])
+        for e in doc.get(name, []):
+            key = tuple(str(_field(e, end, f"{name} entry")) for end in ("a", "b"))
+            out[key] = _number(_field(e, "value", f"{name} entry"), "value",
+                               f"{name} entry {key[0]}-{key[1]}")
         return out
 
+    def bus_map(name: str) -> dict[str, float]:
+        return {str(k): _number(v, "value", f"{name} entry {k}")
+                for k, v in doc.get(name, {}).items()}
+
     return LdcSolution(
-        susceptance=line_map(doc.get("susceptance", [])),
-        theta={str(k): float(v) for k, v in doc.get("theta", {}).items()},
+        susceptance=line_map("susceptance"),
+        theta=bus_map("theta"),
         injections=InjectionSolution(
-            flow=line_map(doc.get("flow", [])),
-            gen={str(k): float(v) for k, v in doc.get("gen", {}).items()},
-            load={str(k): float(v) for k, v in doc.get("load", {}).items()},
+            flow=line_map("flow"), gen=bus_map("gen"), load=bus_map("load"),
         ),
     )
 

@@ -11,8 +11,9 @@ Subcommands:
 * ``encode``   -- exact-cover instance to its throughput encoding
 * ``validate`` -- check a solution file against a network file
 
-Verbosity comes from ``-v`` or the ``FACTSFLOW_LOG`` environment variable
-(``debug`` sends the solver node trace to stderr through :mod:`logging`).
+Verbosity comes from ``-v`` after the subcommand or from
+``FACTSFLOW_LOG=debug``; either sends the solver node trace to stderr
+through :mod:`logging`.
 All randomness flows from a single ``--seed`` fanned out per trial, so runs
 are reproducible.
 """
@@ -42,13 +43,19 @@ __all__ = ["main", "run_command"]
 
 
 def _verbose(args) -> bool:
-    env = os.environ.get("FACTSFLOW_LOG", "").lower()
-    return getattr(args, "verbose", False) or env in ("debug", "trace")
+    return args.verbose or os.environ.get("FACTSFLOW_LOG", "").lower() == "debug"
 
 
 def _load_network(path: str) -> Network:
+    """The network in JSON file ``path``; structural errors (not warnings)
+    raise :class:`InputError` naming each one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return caseio.deserialize_network(fh.read())
+        net = caseio.deserialize_network(fh.read())
+    errors = validate_network(net).errors
+    if errors:
+        raise InputError(f"invalid network {path}: "
+                         + "; ".join(v.message for v in errors))
+    return net
 
 
 def _write(path: str | None, text: str) -> None:
@@ -99,7 +106,7 @@ def _cmd_mpf(args) -> int:
     result = solve_mpf(net, s)
     print(f"{result.value:.6f}")
     if args.output:
-        _write(args.output, caseio.serialize_solution(result.solution))
+        _write(args.output, caseio.serialize_solution(result))
     return 0
 
 
@@ -129,7 +136,7 @@ def _cmd_mff(args) -> int:
         with open(args.warm_start, "r", encoding="utf-8") as fh:
             warm = caseio.deserialize_solution(fh.read())
     if args.dump_lp:
-        builder, _, _ = build_mff_relaxation(net)
+        builder, _ = build_mff_relaxation(net)
         _write(args.dump_lp, lp_format(builder.lp) + "\n")
     config = MffConfig(
         gap_tol=args.gap,
@@ -245,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "variable-susceptance lines",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-v", "--verbose", action="store_true")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="trace the solver to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", parents=[common],

@@ -5,21 +5,18 @@ Two linear programs are the workhorses of the whole package:
 * :func:`solve_mpf` — maximum power flow with every susceptance pinned to a
   given value (the classic linearised dispatch problem);
 * :func:`solve_mvf` — maximum flow when the *direction* of every angle
-  difference is pinned by a :class:`SignPattern` while susceptances float
-  inside their intervals.
+  difference is pinned by a direction bit while susceptances float inside
+  their intervals.
 
 Both never come back infeasible: the all-zero operating point satisfies any
-sign pattern.  Alongside them live the glue utilities that move between the
-two worlds: extracting a sign pattern from phase angles, reading a line's
-susceptance off a solved program's angle part and flow, and a conservative
-presolve that pins angle-direction bits that every feasible operating point
-must share.
+choice of directions.  Alongside them live the glue utilities that move
+between the two worlds: reading direction bits off phase angles, and a
+line's susceptance off a solved program's angle part and flow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .linprog import LinearProgram, LpError, solve_lp
@@ -33,8 +30,6 @@ from .model import (
 )
 
 __all__ = [
-    "SignPattern",
-    "FlowSolveResult",
     "ConeParts",
     "NetworkLp",
     "UNBOUNDED_S_CAP",
@@ -42,8 +37,6 @@ __all__ = [
     "solve_mvf",
     "extract_signs",
     "directed_susceptance",
-    "forced_sign_bits",
-    "forced_flow_signs",
     "midpoint_susceptances",
 ]
 
@@ -51,52 +44,6 @@ LineId = tuple[str, str]
 
 #: Angle differences within this of zero read as bit 1 in :func:`extract_signs`.
 _TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Per-line direction bit for the phase-angle difference.
-
-    Bit 1 means ``theta[b] - theta[a] >= 0`` on line ``(a, b)``; bit 0 means
-    ``<= 0``.  A pattern may be *partial*: lines with a fixed susceptance may
-    omit their bit (their flow already equals ``s * dtheta`` with no
-    directional choice), but every controllable line must carry one.
-    """
-
-    bits: Mapping[LineId, int]
-
-    def bit(self, key: LineId) -> int | None:
-        return self.bits.get(key)
-
-    def __getitem__(self, key: LineId) -> int:
-        return self.bits[key]
-
-    def __contains__(self, key: LineId) -> bool:
-        return key in self.bits
-
-    def is_total(self, net: Network) -> bool:
-        return all(ln.key in self.bits for ln in net.lines)
-
-
-@dataclass(frozen=True)
-class FlowSolveResult:
-    """Outcome of an MPF or MVF solve."""
-
-    value: float
-    theta: dict[str, float]
-    flow: dict[LineId, float]
-    gen: dict[str, float]
-    load: dict[str, float]
-    susceptance: dict[LineId, float]
-
-    @property
-    def solution(self) -> LdcSolution:
-        return LdcSolution(
-            susceptance=self.susceptance,
-            theta=self.theta,
-            injections=InjectionSolution(flow=self.flow, gen=self.gen, load=self.load),
-        )
-
 
 #: Stand-in ceiling for susceptance intervals unbounded above.  Any finite
 #: susceptance is a legal choice on such a line; coupling the flow to the
@@ -218,18 +165,16 @@ class NetworkLp:
     def set_throughput_objective(self) -> None:
         self.lp.set_objective({idx: 1.0 for idx in self.gen.values()})
 
-    def extract(self, x, susceptance: dict[LineId, float]) -> FlowSolveResult:
-        theta = {b: float(x[i]) for b, i in self.theta.items()}
-        flow = {k: float(x[i]) for k, i in self.flow.items()}
-        gen = {b: float(x[i]) for b, i in self.gen.items()}
-        load = {b: float(x[i]) for b, i in self.load.items()}
-        return FlowSolveResult(
-            value=sum(gen.values()),
-            theta=theta,
-            flow=flow,
-            gen=gen,
-            load=load,
+    def extract(self, x, susceptance: dict[LineId, float]) -> LdcSolution:
+        """The operating point of the program's solution ``x``."""
+        return LdcSolution(
             susceptance=susceptance,
+            theta={b: float(x[i]) for b, i in self.theta.items()},
+            injections=InjectionSolution(
+                flow={k: float(x[i]) for k, i in self.flow.items()},
+                gen={b: float(x[i]) for b, i in self.gen.items()},
+                load={b: float(x[i]) for b, i in self.load.items()},
+            ),
         )
 
 
@@ -264,7 +209,7 @@ def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None
     return builder, pinned
 
 
-def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> FlowSolveResult:
+def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> LdcSolution:
     """Maximum throughput with susceptances pinned at ``s``.
 
     ``s`` must lie inside each line's interval; lines omitted from ``s``
@@ -277,13 +222,14 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> FlowSolv
     return builder.extract(res.x, pinned)
 
 
-def solve_mvf(net: Network, pattern: SignPattern,
-              pinned_flows: Mapping[LineId, float] | None = None) -> FlowSolveResult | None:
-    """Maximum throughput with angle-difference directions pinned by ``pattern``.
+def solve_mvf(net: Network, bits: Mapping[LineId, int],
+              pinned_flows: Mapping[LineId, float] | None = None) -> LdcSolution | None:
+    """Maximum throughput with angle-difference directions pinned by ``bits``.
 
-    Susceptances float inside their intervals.  Lines without a bit must be
-    fixed lines; their power law is enforced directly with no direction
-    choice.  Intervals unbounded above are treated as ``[s_min,
+    Bit 1 on line ``(a, b)`` means ``theta[b] - theta[a] >= 0``, bit 0 means
+    ``<= 0``.  Susceptances float inside their intervals.  Lines without a
+    bit must be fixed lines; their power law is enforced directly with no
+    direction choice.  Intervals unbounded above are treated as ``[s_min,
     UNBOUNDED_S_CAP]`` so every vertex maps back to finite susceptances (see
     the constant's note).  ``pinned_flows`` forces selected line flows to
     exact values (used by verification sweeps); only then can the program be
@@ -295,7 +241,7 @@ def solve_mvf(net: Network, pattern: SignPattern,
     lp = builder.lp
     deltas: dict[LineId, int] = {}
     for ln in net.lines:
-        bit = pattern.bit(ln.key)
+        bit = bits.get(ln.key)
         if bit is None:
             if ln.is_facts:
                 raise InputError(
@@ -358,8 +304,8 @@ def _at_rest_susceptance(ln: Line) -> float:
     return 0.5 * (ln.s_min + min(ln.s_max, 3.0 * ln.s_min))
 
 
-def extract_signs(net: Network, theta: Mapping[str, float]) -> SignPattern:
-    """Read the angle-difference direction of every line from ``theta``.
+def extract_signs(net: Network, theta: Mapping[str, float]) -> dict[LineId, int]:
+    """Read the angle-difference direction bit of every line from ``theta``.
 
     Ties (``|dtheta| <= 1e-9``) deterministically resolve to bit 1; a zero
     difference is feasible under either bit, so any fixed rule is correct.
@@ -370,95 +316,5 @@ def extract_signs(net: Network, theta: Mapping[str, float]) -> SignPattern:
             raise InputError(f"theta misses an endpoint of line {ln.a}-{ln.b}")
         d = float(theta[ln.b]) - float(theta[ln.a])
         bits[ln.key] = 1 if d > -_TIE_TOL else 0
-    return SignPattern(bits)
-
-
-def forced_flow_signs(net: Network) -> dict[LineId, int]:
-    """Flow directions that hold in every feasible operating point.
-
-    Returns ``{line key: +1 | -1 | 0}`` where +1 means the flow can only run
-    from ``a`` to ``b`` (f >= 0), -1 only backwards, and 0 means the line can
-    carry no flow at all (zero capacity).  Derived by fixed-point propagation
-    of three sound rules:
-
-    * a zero-capacity line carries exactly zero;
-    * the single line of a degree-one generator (load) bus carries its
-      nonnegative generation (load);
-    * at a bus whose other incident lines all provably point inward, the
-      remaining line must point outward (and the symmetric rule), with
-      generation/load contributing their known sign.
-    """
-    adj: dict[str, list[Line]] = net.incident()
-    signs: dict[LineId, int] = {}
-    for ln in net.lines:
-        if ln.capacity == 0.0:
-            signs[ln.key] = 0
-
-    def flow_sign_at(ln: Line, bus_id: str) -> int | None:
-        """+1: provably into bus, -1: provably out of bus, 0: zero, None: unknown."""
-        s = signs.get(ln.key)
-        if s is None:
-            return None
-        if s == 0:
-            return 0
-        into = s == 1 if ln.b == bus_id else s == -1
-        return 1 if into else -1
-
-    changed = True
-    while changed:
-        changed = False
-        for bus in net.buses:
-            lines = adj[bus.id]
-            unknown = [ln for ln in lines if ln.key not in signs]
-            if len(unknown) != 1:
-                continue
-            target = unknown[0]
-            sides = [flow_sign_at(ln, bus.id) for ln in lines if ln.key in signs]
-            all_in = all(s in (0, 1) for s in sides)
-            all_out = all(s in (0, -1) for s in sides)
-            forced: int | None = None
-            if bus.kind is BusKind.JUNCTION:
-                if all_in and all_out:  # every neighbour is at rest
-                    signs[target.key] = 0
-                    changed = True
-                    continue
-                if all_in:
-                    forced = -1  # must leave the bus
-                elif all_out:
-                    forced = 1
-            elif bus.kind is BusKind.GENERATOR:
-                if all_in:  # inflow + generation must leave via the last line
-                    forced = -1
-            elif bus.kind is BusKind.LOAD:
-                if all_out:  # load + outflow must be fed by the last line
-                    forced = 1
-            if forced is not None:
-                leaves = forced == -1
-                if target.a == bus.id:
-                    signs[target.key] = 1 if leaves else -1
-                else:
-                    signs[target.key] = -1 if leaves else 1
-                changed = True
-    return signs
-
-
-def forced_sign_bits(net: Network) -> dict[LineId, int]:
-    """Direction bits every feasible operating point can adopt.
-
-    A forced flow sign pins the angle-difference bit only when the line's
-    susceptance is bounded away from zero; with ``s_min == 0`` the line may
-    carry zero flow across an angle difference of either sign, so its bit
-    stays free.  A zero-capacity line with ``s_min > 0`` has angle
-    difference exactly zero, for which bit 1 is valid.
-    """
-    by_key = {ln.key: ln for ln in net.lines}
-    bits: dict[LineId, int] = {}
-    for key, sign in forced_flow_signs(net).items():
-        line = by_key[key]
-        if line.s_min <= 0.0:
-            continue
-        if sign == 0:
-            bits[key] = 1
-        else:
-            bits[key] = 1 if sign > 0 else 0
     return bits
+

@@ -59,8 +59,8 @@ _PORT = "p"
 _GRID_STEP = Fraction(1, 20)
 #: Objective tolerance of the two-point optimality check.
 _VERIFY_TOL = 1e-6
-#: Free direction bits the enumeration in :func:`verify_choice` accepts.
-_MAX_FREE_BITS = 16
+#: Controllable lines the enumeration in :func:`verify_choice` accepts.
+_MAX_LINES = 16
 
 
 class GadgetError(RuntimeError):
@@ -235,7 +235,7 @@ def verify_choice(net: Network, port: str, x: Fraction | float,
     ws = [x * Fraction(k, steps) for k in range(steps + 1)]
     curve: list[tuple[float, float]] = []
     for w in ws:
-        res = enumerate_signs_oracle(probe_net, max_lines=_MAX_FREE_BITS,
+        res = enumerate_signs_oracle(probe_net, max_lines=_MAX_LINES,
                                      pinned_flows={probe_key: float(w)})
         curve.append((float(w), res.value))
 

@@ -104,13 +104,13 @@ def solve_im(net: Network, s0: Mapping[LineId, float]) -> ImResult:
         mpf = solve_mpf(net, s)
         trace.steps.append(("mpf", mpf.value))
         if mpf.value > best_value:
-            best_value, best_solution = mpf.value, mpf.solution
+            best_value, best_solution = mpf.value, mpf
         pattern = extract_signs(net, mpf.theta)
         mvf = solve_mvf(net, pattern)
         trace.steps.append(("mvf", mvf.value))
         trace.iterations += 1
         if mvf.value > best_value:
-            best_value, best_solution = mvf.value, mvf.solution
+            best_value, best_solution = mvf.value, mvf
         s = dict(mvf.susceptance)
         if mvf.value - mpf.value <= max(1e-9, _REL_TOL * abs(mpf.value)):
             break

@@ -59,17 +59,13 @@ from .formulations import (
     UNBOUNDED_S_CAP,
     ConeParts,
     NetworkLp,
-    SignPattern,
     directed_susceptance,
-    extract_signs,
-    forced_sign_bits,
     solve_mvf,
 )
 
 __all__ = [
     "MffConfig",
     "MffResult",
-    "OracleResult",
     "build_mff_relaxation",
     "solve_mff",
     "enumerate_signs_oracle",
@@ -101,20 +97,11 @@ class MffResult:
     big_m_retried: bool = False
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    pattern: SignPattern
-    patterns_tried: int
-
-
-def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConeParts],
-                                                 dict[LineId, int]]:
+def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConeParts]]:
     """The cone-sum relaxation that every branch-and-bound node solves.
 
-    Returns the program's builder, the cone parts of each controllable line
-    and the direction bits fixed by presolve (:func:`forced_sign_bits`),
-    which are already pinned in the program's bounds.
+    Returns the program's builder and the cone parts of each controllable
+    line.
     """
     builder = NetworkLp(net)
     parts: dict[LineId, ConeParts] = {}
@@ -125,11 +112,7 @@ def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConePart
             builder.add_power_law(ln, s=ln.s_min)
     builder.add_balance_rows()
     builder.set_throughput_objective()
-    forced = {k: b for k, b in forced_sign_bits(net).items() if k in parts}
-    for key, bit in forced.items():
-        for idx in parts[key].against(bit):
-            builder.lp.ub[idx] = 0.0
-    return builder, parts, forced
+    return builder, parts
 
 
 def _zero_solution(net: Network) -> LdcSolution:
@@ -166,7 +149,7 @@ def _node_solution(net: Network, builder: NetworkLp, x,
         if s is None:
             return None
         suscept[ln.key] = s
-    return builder.extract(x, suscept).solution
+    return builder.extract(x, suscept)
 
 
 def solve_mff(net: Network, config: MffConfig | None = None,
@@ -187,7 +170,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         raise InputError("node_limit must be positive")
 
     start = time.monotonic()
-    builder, parts, forced = build_mff_relaxation(net)
+    builder, parts = build_mff_relaxation(net)
     by_key = {ln.key: ln for ln in net.lines}
 
     incumbent_sol = _zero_solution(net)
@@ -197,7 +180,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         if not report.ok:
             raise InputError(f"warm start is not a feasible solution:\n{report}")
         incumbent_sol = warm_start
-        incumbent = warm_start.objective()
+        incumbent = warm_start.value
 
     # Nodes: (parent bound, direction bits branched on so far).
     stack: list[tuple[float, dict[LineId, int]]] = [(math.inf, {})]
@@ -230,8 +213,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             continue
 
         x = res.x
-        bits = dict(forced)
-        bits.update(branched)
+        bits = dict(branched)
         split = []  # undecided lines whose point lies in neither cone
         for key, p in parts.items():
             if key in bits:
@@ -248,10 +230,10 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         if not split:
             candidate = _node_solution(net, builder, x, bits)
             if candidate is not None and validate_solution(net, candidate, DEFAULT_TOL).ok:
-                value = candidate.objective()
+                value = candidate.value
             else:
-                mvf = solve_mvf(net, SignPattern(bits))
-                candidate, value = mvf.solution, mvf.value
+                candidate = solve_mvf(net, bits)
+                value = candidate.value
             if value > incumbent:
                 incumbent = value
                 incumbent_sol = candidate
@@ -293,40 +275,28 @@ def solve_mff(net: Network, config: MffConfig | None = None,
 
 
 def enumerate_signs_oracle(net: Network, max_lines: int = 16,
-                           pinned_flows: Mapping[LineId, float] | None = None,
-                           presolve_signs: bool = True) -> OracleResult:
+                           pinned_flows: Mapping[LineId, float] | None = None
+                           ) -> LdcSolution:
     """Brute-force reference optimum by direction enumeration.
 
     Every operating point induces a direction bit per controllable line, so
-    the maximum over all fixed-direction LPs equals the true optimum.  Fixed
-    lines carry no directional choice (their power law is an equality) and
-    provably one-directional lines are pinned up front, which keeps the
-    enumeration to the genuinely free bits.  Refuses instances with more
-    than ``max_lines`` free bits.
+    the best of the fixed-direction LPs over all assignments is the true
+    optimum; it is returned.  Fixed lines carry no directional choice (their
+    power law is an equality).  Refuses instances with more than
+    ``max_lines`` controllable lines.
     """
-    facts_keys = [ln.key for ln in net.facts_lines()]
-    forced = forced_sign_bits(net) if presolve_signs else {}
-    fixed_bits = {k: forced[k] for k in facts_keys if k in forced}
-    free = [k for k in facts_keys if k not in fixed_bits]
-    if len(free) > max_lines:
+    keys = [ln.key for ln in net.facts_lines()]
+    if len(keys) > max_lines:
         raise InputError(
-            f"{len(free)} free direction bits exceed the enumeration cap {max_lines}"
+            f"{len(keys)} controllable lines exceed the enumeration cap {max_lines}"
         )
-
-    best_value = -math.inf
-    best_result = None
-    tried = 0
-    for combo in itertools.product((0, 1), repeat=len(free)):
-        bits = dict(fixed_bits)
-        bits.update({k: b for k, b in zip(free, combo)})
-        result = solve_mvf(net, SignPattern(bits), pinned_flows=pinned_flows)
-        tried += 1
+    best: LdcSolution | None = None
+    for combo in itertools.product((0, 1), repeat=len(keys)):
+        result = solve_mvf(net, dict(zip(keys, combo)), pinned_flows=pinned_flows)
         if result is None:
             continue  # pinned flows incompatible with this direction choice
-        if result.value > best_value:
-            best_value = result.value
-            best_result = result
-    if best_result is None:
+        if best is None or result.value > best.value:
+            best = result
+    if best is None:
         raise InputError("pinned flows are infeasible under every direction choice")
-    pattern = extract_signs(net, best_result.theta)
-    return OracleResult(value=best_value, pattern=pattern, patterns_tried=tried)
+    return best

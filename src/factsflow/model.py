@@ -135,14 +135,6 @@ class Network:
     def facts_lines(self) -> list[Line]:
         return [ln for ln in self.lines if ln.is_facts]
 
-    def incident(self) -> dict[str, list[Line]]:
-        """Adjacency map bus id -> incident lines (both endpoints)."""
-        adj: dict[str, list[Line]] = {b.id: [] for b in self.buses}
-        for ln in self.lines:
-            adj[ln.a].append(ln)
-            adj[ln.b].append(ln)
-        return adj
-
     def components(self) -> list[list[str]]:
         """Connected components as lists of bus ids (deterministic order)."""
         adj: dict[str, list[str]] = {b.id: [] for b in self.buses}
@@ -184,9 +176,6 @@ class InjectionSolution:
     gen: Mapping[str, float]
     load: Mapping[str, float]
 
-    def total_generation(self) -> float:
-        return sum(self.gen.values())
-
 
 @dataclass(frozen=True)
 class LdcSolution:
@@ -196,8 +185,10 @@ class LdcSolution:
     theta: Mapping[str, float]
     injections: InjectionSolution
 
-    def objective(self) -> float:
-        return self.injections.total_generation()
+    @property
+    def value(self) -> float:
+        """The throughput: total generation."""
+        return sum(self.injections.gen.values())
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,7 @@ def test_criterion_6_gadget_verification_and_reduction():
 def test_criterion_7_validator_mutations():
     tri = tri_network(facts=False)
     tri_f = tri_network(facts=True)
-    base = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines}).solution
+    base = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
     assert validate_solution(tri, base, TOL).ok
 
     flagged = 0

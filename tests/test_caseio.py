@@ -287,7 +287,7 @@ class TestSerialization:
     def test_solution_round_trip(self, tri):
         from factsflow.formulations import solve_mpf
 
-        sol = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines}).solution
+        sol = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
         back = deserialize_solution(serialize_solution(sol))
         assert back.theta == dict(sol.theta)
         assert back.susceptance == dict(sol.susceptance)

@@ -99,9 +99,13 @@ def test_mff_lp_dump_is_the_cone_sum_relaxation(tri_f_path, tmp_path):
     assert re.search(r"\bd\[", text) is None  # no direction binary
 
 
-def test_mff_verbose_trace_stays_off_stdout(tri_f_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flag, env", [(["-v"], None), ([], "debug")],
+                         ids=["flag", "env"])
+def test_mff_verbose_trace_stays_off_stdout(tri_f_path, capsys, monkeypatch, flag, env):
     monkeypatch.delenv("FACTSFLOW_LOG", raising=False)
-    assert run_command(["mff", "-v", tri_f_path, "--gap", "1e-9"]) == 0
+    if env is not None:
+        monkeypatch.setenv("FACTSFLOW_LOG", env)
+    assert run_command(["mff", *flag, tri_f_path, "--gap", "1e-9"]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["14.000000"]
     assert "node 1:" in captured.err
@@ -169,6 +173,50 @@ def test_bad_inputs_exit_nonzero(workdir, tmp_path):
     bogus.write_text("mpc.baseMVA = 100;\n")
     assert run_command(["convert", str(bogus)]) == 2
     assert run_command(["mpf", str(tmp_path / "missing.json")]) == 2
+
+
+def _unknown_bus(doc):
+    doc["lines"][0]["b"] = "nowhere"
+
+
+def _reversed_interval(doc):
+    line = next(ln for ln in doc["lines"] if ln["s_min"] < ln["s_max"])
+    line["s_min"], line["s_max"] = line["s_max"], line["s_min"]
+
+
+def _bus_without_id(doc):
+    del doc["buses"][0]["id"]
+
+
+def _non_numeric_s_min(doc):
+    doc["lines"][0]["s_min"] = "x"
+
+
+@pytest.mark.parametrize("command", ["mpf", "mf", "im", "mff"])
+@pytest.mark.parametrize("corrupt", [_unknown_bus, _reversed_interval, _bus_without_id,
+                                     _non_numeric_s_min], ids=lambda f: f.__name__[1:])
+def test_malformed_network_is_one_error_line(tmp_path, capsys, command, corrupt):
+    doc = json.loads(serialize_network(tri_network(facts=True)))
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_command([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_malformed_solution_names_the_field(workdir, capsys):
+    net_path = str(workdir / "toy.json")
+    sol_path = workdir / "sol.json"
+    assert run_command(["mpf", net_path, "-o", str(sol_path)]) == 0
+    doc = json.loads(sol_path.read_text())
+    del doc["flow"][0]["value"]
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_command(["validate", net_path, str(sol_path)]) == 2
+    assert "'value'" in capsys.readouterr().err
 
 
 def test_solver_failure_is_one_error_line(workdir, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Fixed-susceptance and fixed-direction programs plus sign utilities."""
+"""Fixed-susceptance and fixed-direction programs plus direction utilities."""
 
 import math
 
@@ -13,11 +13,8 @@ from factsflow.model import (
     validate_solution,
 )
 from factsflow.formulations import (
-    SignPattern,
     directed_susceptance,
     extract_signs,
-    forced_flow_signs,
-    forced_sign_bits,
     midpoint_susceptances,
     solve_mpf,
     solve_mvf,
@@ -36,7 +33,7 @@ class TestSolveMpf:
     def test_tri_at_unit_susceptance(self, tri):
         result = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
         assert result.value == pytest.approx(12.0, abs=1e-6)
-        assert validate_solution(tri, result.solution).ok
+        assert validate_solution(tri, result).ok
 
     def test_zero_capacities_zero_value(self):
         net = Network(
@@ -59,7 +56,7 @@ class TestSolveMpf:
 
 class TestSolveMvf:
     def test_single_line_positive_direction(self, single_line):
-        result = solve_mvf(single_line, SignPattern({("g", "l"): 1}))
+        result = solve_mvf(single_line, {("g", "l"): 1})
         assert result.value == pytest.approx(5.0, abs=1e-9)
 
     def test_tri_f_direction_from_mpf(self, tri, tri_f):
@@ -67,37 +64,37 @@ class TestSolveMvf:
         pattern = extract_signs(tri_f, base.theta)
         result = solve_mvf(tri_f, pattern)
         assert result.value == pytest.approx(14.0, abs=1e-6)
-        assert validate_solution(tri_f, result.solution).ok
+        assert validate_solution(tri_f, result).ok
 
     def test_conflicting_directions_force_zero(self):
         net = Network(
             buses=(Bus("g", BusKind.GENERATOR), Bus("a"), Bus("l", BusKind.LOAD)),
             lines=(Line("g", "a", 1, 1, 5.0), Line("a", "l", 1, 1, 5.0)),
         )
-        result = solve_mvf(net, SignPattern({("g", "a"): 1, ("a", "l"): 0}))
+        result = solve_mvf(net, {("g", "a"): 1, ("a", "l"): 0})
         assert result.value == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_bit_on_facts_line_rejected(self, tri_f):
         with pytest.raises(InputError):
-            solve_mvf(tri_f, SignPattern({("g", "b"): 1, ("b", "l"): 1}))
+            solve_mvf(tri_f, {("g", "b"): 1, ("b", "l"): 1})
 
     def test_fixed_lines_may_omit_bits(self, tri_f):
-        result = solve_mvf(tri_f, SignPattern({("g", "l"): 1}))
+        result = solve_mvf(tri_f, {("g", "l"): 1})
         assert result.value == pytest.approx(14.0, abs=1e-6)
 
     def test_infeasible_pin_reports_none(self, single_line):
-        assert solve_mvf(single_line, SignPattern({("g", "l"): 1}),
+        assert solve_mvf(single_line, {("g", "l"): 1},
                          pinned_flows={("g", "l"): 99.0}) is None
 
 
 class TestExtractSigns:
     def test_positive_negative_and_tie(self, tri):
         theta = {"g": 0.0, "b": 0.5, "l": -0.5}
-        pattern = extract_signs(tri, theta)
-        assert pattern[("g", "b")] == 1
-        assert pattern[("g", "l")] == 0
+        bits = extract_signs(tri, theta)
+        assert bits[("g", "b")] == 1
+        assert bits[("g", "l")] == 0
         tie = extract_signs(tri, {"g": 0.0, "b": 0.0, "l": 0.0})
-        assert all(bit == 1 for bit in tie.bits.values())
+        assert all(bit == 1 for bit in tie.values())
 
 
 class TestRecoverSusceptances:
@@ -122,37 +119,6 @@ class TestRecoverSusceptances:
         assert directed_susceptance(self._line(1.0, 3.0), 1e-13, 5.0) is None
 
 
-class TestForcedSigns:
-    def test_boundary_chain_propagates(self):
-        net = Network(
-            buses=(Bus("gp", BusKind.GENERATOR), Bus("g"), Bus("l"),
-                   Bus("lp", BusKind.LOAD)),
-            lines=(Line("gp", "g", 1, 1, 5.0), Line("g", "l", 1, 2, 3.0),
-                   Line("l", "lp", 1, 1, 10.0)),
-        )
-        signs = forced_flow_signs(net)
-        assert signs == {("gp", "g"): 1, ("g", "l"): 1, ("l", "lp"): 1}
-        bits = forced_sign_bits(net)
-        assert bits == {("gp", "g"): 1, ("g", "l"): 1, ("l", "lp"): 1}
-
-    def test_zero_lower_interval_bit_stays_free(self):
-        net = Network(
-            buses=(Bus("gp", BusKind.GENERATOR), Bus("l", BusKind.LOAD)),
-            lines=(Line("gp", "l", 0.0, 2.0, 5.0),),
-        )
-        assert forced_flow_signs(net) == {("gp", "l"): 1}
-        assert forced_sign_bits(net) == {}
-
-    def test_zero_capacity_known_zero(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b"), Bus("c", BusKind.LOAD)),
-            lines=(Line("a", "b", 1, 1, 0.0), Line("b", "c", 1, 1, 2.0)),
-        )
-        signs = forced_flow_signs(net)
-        assert signs[("a", "b")] == 0
-        assert signs[("b", "c")] == 0  # nothing can enter b, so nothing leaves
-
-
 class TestDominanceProperties:
     def test_mvf_dominates_mpf_and_back(self):
         for seed in range(40):
@@ -164,8 +130,8 @@ class TestDominanceProperties:
             assert mvf.value >= mpf.value - 1e-6
             back = solve_mpf(net, mvf.susceptance)
             assert back.value >= mvf.value - 1e-6
-            assert validate_solution(net, mpf.solution).ok
-            assert validate_solution(net, mvf.solution).ok
+            assert validate_solution(net, mpf).ok
+            assert validate_solution(net, mvf).ok
 
     def test_mvf_bounded_by_exact_and_max_flow(self):
         for seed in range(20):

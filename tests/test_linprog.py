@@ -163,3 +163,67 @@ def test_declared_variable_enforcement():
         lp.set_objective({7: 1.0})
     with pytest.raises(ValueError):
         lp.add_var("bad", 2.0, 1.0)
+
+
+def _random_program(rng: random.Random) -> LinearProgram:
+    """A small program mixing row senses and finite, one-sided and free bounds."""
+    lp = LinearProgram()
+    n = rng.randint(2, 6)
+    for i in range(n):
+        kind = rng.choice(["finite", "finite", "lower", "upper", "free"])
+        lo = float(rng.randint(-4, 1)) if kind in ("finite", "lower") else -INF
+        hi = lo + rng.randint(0, 5) if kind == "finite" else INF
+        if kind == "upper":
+            hi = float(rng.randint(-1, 4))
+        lp.add_var(f"v{i}", lo, hi)
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {j: float(rng.randint(-4, 4)) for j in rng.sample(range(n), rng.randint(1, n))}
+        lp.add_constraint(coeffs, rng.choice(["<=", "=", ">="]), float(rng.randint(-6, 8)))
+    lp.set_objective({j: float(rng.randint(-3, 3)) for j in range(n)})
+    return lp
+
+
+def _highs(lp: LinearProgram) -> tuple[str, float | None]:
+    """Status and maximum of ``lp`` by scipy's HiGHS."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    n = lp.num_vars
+    dense = np.zeros((lp.num_rows, n))
+    for r, row in enumerate(lp.rows):
+        for j, c in row.items():
+            dense[r, j] = c
+    rhs = np.array(lp.rhs)
+    senses = np.array(lp.senses)
+    sign = np.where(senses == ">=", -1.0, 1.0)[:, None]
+    ub_rows = senses != "="
+    cost = np.zeros(n)
+    for j, c in lp.objective.items():
+        cost[j] = -c
+    res = linprog(
+        cost,
+        A_ub=(sign * dense)[ub_rows] if ub_rows.any() else None,
+        b_ub=(sign[:, 0] * rhs)[ub_rows] if ub_rows.any() else None,
+        A_eq=dense[~ub_rows] if (~ub_rows).any() else None,
+        b_eq=rhs[~ub_rows] if (~ub_rows).any() else None,
+        bounds=[(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+                for lo, hi in zip(lp.lb, lp.ub)],
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if status == "optimal" else None)
+
+
+def test_random_programs_match_highs():
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(20261018)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        lp = _random_program(rng)
+        ours = solve_lp(lp)
+        status, value = _highs(lp)
+        assert ours.status == status, lp_format(lp)
+        seen[status] += 1
+        if status == "optimal":
+            assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
+    assert min(seen.values()) >= 10, seen

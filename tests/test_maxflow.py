@@ -120,7 +120,7 @@ class TestLift:
         net = free_tri()
         sol = lift_flow_to_ldc(net, mf.injections)
         assert validate_solution(net, sol).ok
-        assert sol.objective() == pytest.approx(14.0)
+        assert sol.value == pytest.approx(14.0)
 
     def test_fixed_susceptance_flow_is_not_liftable(self, tri):
         mf = max_flow(tri)  # 14 is unreachable at s == 1 (optimum is 12)

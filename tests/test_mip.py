@@ -25,27 +25,27 @@ from conftest import (
 
 class TestMffRelaxation:
     def test_single_fixed_line_relaxation_reaches_capacity(self, single_line):
-        builder, _, _ = build_mff_relaxation(single_line)
+        builder, _ = build_mff_relaxation(single_line)
         res = solve_lp(builder.lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(5.0)
 
     def test_degenerate_intervals_pinch_to_fixed_optimum(self, tri):
-        builder, _, _ = build_mff_relaxation(tri)
+        builder, _ = build_mff_relaxation(tri)
         res = solve_lp(builder.lp)
         fixed = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
         assert res.objective == pytest.approx(fixed.value, abs=1e-6)
         assert res.objective == pytest.approx(12.0, abs=1e-6)
 
     def test_direction_parts_only_on_controllable_lines(self, tri_f):
-        builder, parts, _ = build_mff_relaxation(tri_f)
+        builder, parts = build_mff_relaxation(tri_f)
         assert set(parts) == {ln.key for ln in tri_f.facts_lines()} == {("g", "l")}
         for name in builder.lp.names:
             if name.startswith(("dplus", "dminus", "fplus", "fminus")):
                 assert name.endswith("[g-l]")
 
     def test_no_variable_is_a_bit(self, tri_f):
-        builder, _, _ = build_mff_relaxation(tri_f)
+        builder, _ = build_mff_relaxation(tri_f)
         lp = builder.lp
         assert all((lo, hi) != (0.0, 1.0) for lo, hi in zip(lp.lb, lp.ub))
         assert not any(name.startswith("d[") for name in lp.names)
@@ -113,14 +113,9 @@ class TestEnumerateOracle:
             buses=(Bus("g", BusKind.GENERATOR), Bus("l", BusKind.LOAD)),
             lines=(Line("g", "l", 0.5, 2.0, 5.0),),
         )
-        full = enumerate_signs_oracle(net, presolve_signs=False)
-        assert full.value == pytest.approx(5.0)
-        assert full.patterns_tried == 2
-        assert full.pattern.is_total(net)
-        # The one-directional presolve shrinks the sweep without changing it.
-        pinned = enumerate_signs_oracle(net)
-        assert pinned.value == pytest.approx(5.0)
-        assert pinned.patterns_tried == 1
+        best = enumerate_signs_oracle(net)
+        assert best.value == pytest.approx(5.0)
+        assert validate_solution(net, best).ok
 
     def test_tri_fixtures(self, tri, tri_f):
         assert enumerate_signs_oracle(tri_f).value == pytest.approx(14.0, abs=1e-6)
@@ -176,9 +171,9 @@ class TestColdSolvesMatchOracle:
         bad = []
         for label, net in nets:
             try:
-                oracle = enumerate_signs_oracle(net, max_lines=8)
+                oracle = enumerate_signs_oracle(net, max_lines=9)
             except InputError:
-                continue  # too many free bits to enumerate quickly
+                continue  # too many controllable lines to enumerate quickly
             res = solve_mff(net, MffConfig(gap_tol=1e-9))
             if (abs(res.objective - oracle.value) > 1e-6
                     or res.upper_bound < oracle.value - 1e-6
@@ -187,7 +182,9 @@ class TestColdSolvesMatchOracle:
         return bad
 
     def test_unbounded_upper_family(self):
-        # Seeds 3, 10 and 14 were reported optimal below the true value.
+        # A big-M model reported seeds 3, 10, 14, 17, 23 and 26 optimal below
+        # the true value; 17 and 26 have nine controllable lines, hence the
+        # cap of 9.
         nets = ((seed, random_unbounded_upper(seed, max_buses=9)) for seed in range(30))
         assert self._mismatches(nets) == []
 

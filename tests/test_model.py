@@ -80,7 +80,7 @@ class TestCheckKirchhoff:
 
     def test_mpf_solution_balances(self, tri):
         result = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
-        assert check_kirchhoff(tri, result.solution.injections)
+        assert check_kirchhoff(tri, result.injections)
 
     def test_unknown_bus_rejected(self, single_line):
         inj = InjectionSolution(flow={}, gen={"nope": 1.0}, load={})
@@ -127,7 +127,7 @@ class TestValidateSolution:
                 for ln in tri.lines
             ),
         )
-        report = validate_solution(tight, result.solution)
+        report = validate_solution(tight, result)
         assert "solution.capacity" in report.codes()
 
     def test_gen_typing_enforced(self, single_line):
@@ -158,7 +158,7 @@ class TestObjectiveConsistency:
 
             net = random_small_net(seed)
             result = solve_mpf(net, midpoint_susceptances(net))
-            inj = result.solution.injections
+            inj = result.injections
             assert check_kirchhoff(net, inj)
             total_gen = sum(inj.gen.values())
             total_load = sum(inj.load.values())
@@ -169,7 +169,7 @@ class TestMutationSuite:
     """Each feasibility condition, perturbed independently, must be flagged."""
 
     def _base_solution(self, tri):
-        return solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines}).solution
+        return solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
 
     def test_flow_conservation_mutation(self, tri):
         sol = self._base_solution(tri)
