@@ -35,7 +35,6 @@ from .model import (
     Network,
     ValidationReport,
     check_kirchhoff,
-    check_power_law,
     validate_network,
     validate_solution,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Network",
     "ValidationReport",
     "check_kirchhoff",
-    "check_power_law",
     "validate_network",
     "validate_solution",
     "extract_signs",

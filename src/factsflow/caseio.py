@@ -247,25 +247,13 @@ def to_network(raw: RawCase) -> Network:
     base = raw.base_mva
 
     in_service = [br for br in raw.branches if br.status != 0]
-    seen_pairs: set[frozenset[str]] = set()
-    for br in in_service:
-        pair = frozenset((br.from_bus, br.to_bus))
-        if pair in seen_pairs:
-            raise InputError(
-                f"more than one in-service branch connects {set(pair)}; "
-                "merge parallel branches before conversion"
-            )
-        seen_pairs.add(pair)
-
     total_pmax_pu = sum(g.pmax for g in raw.gens) / base
     max_susceptance = max((1.0 / abs(br.x) for br in in_service), default=1.0)
     s_b = 10.0 * max_susceptance
 
+    # The network itself rejects branches to unknown buses and parallel
+    # branches; a generator never becomes a line, so its bus is checked here.
     known = {b.id for b in raw.buses}
-    for br in in_service:
-        for end in (br.from_bus, br.to_bus):
-            if end not in known:
-                raise InputError(f"branch references unknown bus {end}")
     for g in raw.gens:
         if g.bus not in known:
             raise InputError(f"generator references unknown bus {g.bus}")
@@ -388,6 +376,17 @@ def _decode_s_max(value) -> float:
     raise InputError(f"bad s_max value {value!r}")
 
 
+def _section(doc: dict, name: str, kind: type):
+    """Section ``name`` of a JSON document, empty when absent: a list of
+    objects when ``kind`` is ``list``, an object when it is ``dict``."""
+    value = doc.get(name, kind())
+    if not isinstance(value, kind) or (
+            kind is list and not all(isinstance(e, dict) for e in value)):
+        what = "a list of objects" if kind is list else "an object"
+        raise InputError(f"section {name!r} must be {what}")
+    return value
+
+
 def _field(entry: dict, name: str, where: str):
     try:
         return entry[name]
@@ -432,7 +431,7 @@ def deserialize_network(text: str) -> Network:
     if extra:
         raise InputError(f"unknown field {sorted(extra)[0]!r} in network document")
     buses = []
-    for entry in doc.get("buses", []):
+    for entry in _section(doc, "buses", list):
         extra = set(entry) - _BUS_FIELDS
         if extra:
             raise InputError(f"unknown field {sorted(extra)[0]!r} in bus entry")
@@ -442,7 +441,7 @@ def deserialize_network(text: str) -> Network:
             raise InputError(f"bad bus kind {entry.get('kind')!r}") from None
         buses.append(Bus(str(_field(entry, "id", "bus entry")), kind))
     lines = []
-    for entry in doc.get("lines", []):
+    for entry in _section(doc, "lines", list):
         extra = set(entry) - _LINE_FIELDS
         if extra:
             raise InputError(f"unknown field {sorted(extra)[0]!r} in line entry")
@@ -499,7 +498,7 @@ def deserialize_solution(text: str) -> LdcSolution:
 
     def line_map(name: str) -> dict[LineId, float]:
         out = {}
-        for e in doc.get(name, []):
+        for e in _section(doc, name, list):
             key = tuple(str(_field(e, end, f"{name} entry")) for end in ("a", "b"))
             out[key] = _number(_field(e, "value", f"{name} entry"), "value",
                                f"{name} entry {key[0]}-{key[1]}")
@@ -507,7 +506,7 @@ def deserialize_solution(text: str) -> LdcSolution:
 
     def bus_map(name: str) -> dict[str, float]:
         return {str(k): _number(v, "value", f"{name} entry {k}")
-                for k, v in doc.get(name, {}).items()}
+                for k, v in _section(doc, name, dict).items()}
 
     return LdcSolution(
         susceptance=line_map("susceptance"),

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .model import Bus, BusKind, InputError, Line, Network, validate_network
+from .model import Bus, BusKind, InputError, Line, Network
 from .mip import MffConfig, MffResult, enumerate_signs_oracle, solve_mff
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ChoiceBuilder",
     "ChoiceNetwork",
     "ChoiceVerification",
-    "GadgetError",
     "ExactCoverInstance",
     "ReductionNetwork",
     "ReductionCheck",
@@ -61,14 +60,8 @@ _GRID_STEP = Fraction(1, 20)
 _VERIFY_TOL = 1e-6
 #: Controllable lines the enumeration in :func:`verify_choice` accepts.
 _MAX_LINES = 16
-
-
-class GadgetError(RuntimeError):
-    """A gadget construction failed; carries the verification outcome."""
-
-    def __init__(self, message: str, verification: "ChoiceVerification | None" = None):
-        super().__init__(message)
-        self.verification = verification
+#: Search settings of :func:`check_reduction`.
+_REDUCTION_CONFIG = MffConfig(gap_tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -179,26 +172,16 @@ class ChoiceNetwork:
 
 
 def build_choice_network(x: Fraction | float,
-                         builder: ChoiceBuilder | None = None,
-                         verify: bool = False) -> ChoiceNetwork:
+                         builder: ChoiceBuilder | None = None) -> ChoiceNetwork:
     """Materialise a standalone choice network with its port bus ``p``.
 
-    With ``verify=True`` the behavioural contract is checked immediately and
-    a failing builder raises :class:`GadgetError` carrying the report.
+    Nothing here checks the behaviour; :func:`verify_choice` does.
     """
     builder = builder or default_choice_builder
     x = Fraction(x).limit_denominator(10**9)
     parts = builder(x, _PORT, f"{_PORT}.")
     net = Network(buses=(Bus(_PORT),) + tuple(parts.buses), lines=tuple(parts.lines))
-    report = validate_network(net)
-    if not report.ok:
-        raise GadgetError(f"builder produced an invalid network:\n{report}")
-    built = ChoiceNetwork(net=net, port=_PORT, expected_inner_opt=parts.expected_inner_opt)
-    if verify:
-        outcome = verify_choice(net, _PORT, x, expected=parts.expected_inner_opt)
-        if not outcome.passed:
-            raise GadgetError("builder failed behavioural verification", outcome)
-    return built
+    return ChoiceNetwork(net=net, port=_PORT, expected_inner_opt=parts.expected_inner_opt)
 
 
 @dataclass
@@ -320,8 +303,7 @@ def _port_id(subset: tuple[str, ...]) -> str:
     return "v:" + "+".join(subset)
 
 
-def build_exact_cover_network(inst: ExactCoverInstance,
-                              builder: ChoiceBuilder | None = None) -> ReductionNetwork:
+def build_exact_cover_network(inst: ExactCoverInstance) -> ReductionNetwork:
     """The throughput encoding of an exact-cover instance.
 
     Core part: a generator ``g`` and load ``l`` joined by a unit-susceptance
@@ -329,9 +311,8 @@ def build_exact_cover_network(inst: ExactCoverInstance,
     1) and ``e-l`` (capacity 2); per subset a port bus wired to its three
     elements by unit lines.  Each port carries a scale-3 choice gadget.  The
     throughput reaches ``3 + 18.3 |S| + |M|`` exactly when the instance is
-    solvable (given a verified builder).
+    solvable.
     """
-    builder = builder or default_choice_builder
     buses = [Bus("g", BusKind.GENERATOR), Bus("l", BusKind.LOAD)]
     lines = [Line("g", "l", 1, 1, 3.0)]
     for elem in inst.ground:
@@ -345,13 +326,10 @@ def build_exact_cover_network(inst: ExactCoverInstance,
         buses.append(Bus(port))
         for elem in subset:
             lines.append(Line(port, elem, 1, 1, 1.0))
-        parts = builder(Fraction(3), port, f"{port}.")
+        parts = default_choice_builder(Fraction(3), port, f"{port}.")
         buses.extend(parts.buses)
         lines.extend(parts.lines)
     net = Network(buses=tuple(buses), lines=tuple(lines))
-    report = validate_network(net)
-    if not report.ok:
-        raise GadgetError(f"encoding produced an invalid network:\n{report}")
     target = Fraction(3) + Fraction(183, 10) * len(inst.sets) + len(inst.ground)
     return ReductionNetwork(net=net, target=target, ports=tuple(ports))
 
@@ -365,20 +343,17 @@ class ReductionCheck:
     result: MffResult
 
 
-def check_reduction(inst: ExactCoverInstance,
-                    builder: ChoiceBuilder | None = None,
-                    config: MffConfig | None = None) -> ReductionCheck:
+def check_reduction(inst: ExactCoverInstance) -> ReductionCheck:
     """Solve the encoding exactly and compare against the target value.
 
-    ``reaches_target`` should match :func:`exact_cover_brute_force` whenever
-    the builder passes :func:`verify_choice`.  The verdict is conclusive
+    ``reaches_target`` should match :func:`exact_cover_brute_force`, since
+    the default gadget passes :func:`verify_choice`.  The verdict is conclusive
     even under a time limit when either the incumbent already reaches the
     target (a feasible lower bound) or the upper bound falls short of it;
     anything else is reported ``indeterminate``.
     """
-    encoding = build_exact_cover_network(inst, builder)
-    config = config or MffConfig(gap_tol=1e-7)
-    result = solve_mff(encoding.net, config)
+    encoding = build_exact_cover_network(inst)
+    result = solve_mff(encoding.net, _REDUCTION_CONFIG)
     goal = float(encoding.target)
     reaches = result.objective >= goal - 1e-6
     if reaches or result.upper_bound < goal - 1e-6:

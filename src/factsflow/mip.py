@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .linprog import solve_lp
+from .linprog import LpError, solve_lp
 from .model import (
     DEFAULT_TOL,
     InjectionSolution,
@@ -160,7 +160,8 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     alternating heuristic) installs an initial incumbent, so the search can
     only improve on it.  Termination honours ``gap_tol`` (relative),
     ``time_limit`` (seconds) and ``node_limit``; the result always carries a
-    feasible solution and a valid upper bound.  Each node is traced at
+    feasible solution and a valid upper bound.  A node relaxation that does
+    not solve to optimality raises :class:`LpError`.  Each node is traced at
     ``DEBUG`` level on this module's logger.
     """
     config = config or MffConfig()
@@ -197,15 +198,15 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         if nodes and nodes % 100 == 0:
             stack.sort(key=lambda item: item[0])  # best bound explored next
 
-        parent_bound, branched = stack.pop()
-        if parent_bound <= incumbent + 1e-9:
-            continue
+        _, branched = stack.pop()
         overrides = {idx: (0.0, 0.0) for key, bit in branched.items()
                      for idx in parts[key].against(bit)}
         res = solve_lp(builder.lp, bound_overrides=overrides)
         nodes += 1
         if res.status != "optimal":
-            continue  # relaxation infeasible under these fixings: prune
+            # The all-zero point is feasible at every node and the objective
+            # is bounded, so any other status is a numerical failure.
+            raise LpError(f"node relaxation solve returned {res.status}")
         bound = res.objective
         logger.debug("node %d: depth %d bound %.6f incumbent %.6f",
                      nodes, len(branched), bound, incumbent)

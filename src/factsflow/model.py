@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_TOL",
     "validate_network",
     "check_kirchhoff",
-    "check_power_law",
     "validate_solution",
 ]
 
@@ -114,6 +113,10 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
+    """Buses and lines that obey the structural rules of
+    :func:`validate_network`; construction raises :class:`InputError` listing
+    every rule broken (warnings such as zero capacity pass)."""
+
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     _bus_index: dict = field(default_factory=dict, repr=False, compare=False)
@@ -122,6 +125,10 @@ class Network:
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "_bus_index", {b.id: b for b in self.buses})
+        errors = validate_network(self).errors
+        if errors:
+            raise InputError("invalid network: "
+                             + "; ".join(f"{v.code}: {v.message}" for v in errors))
 
     def bus(self, bus_id: str) -> Bus:
         try:
@@ -230,8 +237,9 @@ class ValidationReport:
 def validate_network(net: Network) -> ValidationReport:
     """Check the structural invariants of a network.
 
-    Violations are report entries, never exceptions.  An empty report means
-    the network is well formed.  Zero-capacity lines are legal (they model a
+    Violations are report entries, never exceptions; :class:`Network` runs
+    this on construction and refuses any error, so on a built network the
+    report holds warnings only.  Zero-capacity lines are legal (they model a
     disabled interface and pin the angle difference of their endpoints to
     zero) and only produce a warning.
     """
@@ -296,23 +304,6 @@ def check_kirchhoff(net: Network, inj: InjectionSolution, tol: float = DEFAULT_T
         balance[ln.a] -= f
         balance[ln.b] += f
     return all(abs(v) <= tol for v in balance.values())
-
-
-def check_power_law(net: Network, sol: LdcSolution, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``f = s * (theta[b] - theta[a])`` holds on every line within ``tol``."""
-    _check_coverage(net, sol.injections.flow, (sol.theta,))
-    for ln in net.lines:
-        key = ln.key
-        if key not in sol.susceptance:
-            raise InputError(f"solution misses susceptance for line {key!r}")
-        if ln.a not in sol.theta or ln.b not in sol.theta:
-            raise InputError(f"solution misses phase angle for an endpoint of {key!r}")
-        s = float(sol.susceptance[key])
-        f = float(sol.injections.flow.get(key, 0.0))
-        dtheta = float(sol.theta[ln.b]) - float(sol.theta[ln.a])
-        if abs(f - s * dtheta) > tol:
-            return False
-    return True
 
 
 def validate_solution(net: Network, sol: LdcSolution, tol: float = DEFAULT_TOL) -> ValidationReport:

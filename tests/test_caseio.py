@@ -1,5 +1,6 @@
 """Case parsing, network conversion, scenario edits and serialization."""
 
+import json
 import math
 
 import pytest
@@ -283,6 +284,21 @@ class TestSerialization:
         with pytest.raises(InputError) as err:
             deserialize_network(text)
         assert "wat" in str(err.value)
+
+    @pytest.mark.parametrize("read, section, value", [
+        (deserialize_network, "buses", 5),
+        (deserialize_network, "buses", [5]),
+        (deserialize_network, "lines", {"a": 1}),
+        (deserialize_network, "lines", [[1]]),
+        (deserialize_solution, "theta", [1]),
+        (deserialize_solution, "gen", 5),
+        (deserialize_solution, "flow", [3]),
+        (deserialize_solution, "flow", {"a": 1}),
+    ], ids=["buses-number", "buses-list-of-numbers", "lines-object", "lines-list-of-lists",
+            "theta-list", "gen-number", "flow-list-of-numbers", "flow-object"])
+    def test_wrongly_typed_section_named_in_error(self, read, section, value):
+        with pytest.raises(InputError, match=f"section '{section}'"):
+            read(json.dumps({"schema": 1, section: value}))
 
     def test_solution_round_trip(self, tri):
         from factsflow.formulations import solve_mpf

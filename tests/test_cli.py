@@ -207,6 +207,38 @@ def test_malformed_network_is_one_error_line(tmp_path, capsys, command, corrupt)
     assert len(captured.err.splitlines()) == 1
 
 
+def test_wrongly_typed_section_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "buses": [5], "lines": []}))
+    assert run_command(["mf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: section 'buses' must be a list of objects\n"
+
+
+def test_convert_rejects_parallel_branches(tmp_path, capsys):
+    case = tmp_path / "parallel.m"
+    case.write_text(CASE.replace("  2 3 0.0 1.0 0  400", "  3 1 0.0 1.0 0  400"))
+    assert run_command(["convert", str(case), "-o", str(tmp_path / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid network: line.duplicate_pair: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_mf_solution_file_is_the_solution_format(workdir, capsys):
+    net_path = str(workdir / "toy.json")
+    sol_path = str(workdir / "mf.json")
+    assert run_command(["mf", net_path, "-o", sol_path]) == 0
+    capsys.readouterr()
+    # A flow carries no susceptances or angles, so it cannot validate.
+    assert run_command(["validate", net_path, sol_path]) == 1
+    err = capsys.readouterr().err
+    assert "solution.missing_susceptance" in err
+    assert "unknown field" not in err
+
+
 def test_malformed_solution_names_the_field(workdir, capsys):
     net_path = str(workdir / "toy.json")
     sol_path = workdir / "sol.json"

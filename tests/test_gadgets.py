@@ -7,7 +7,6 @@ import pytest
 from factsflow.model import InputError, validate_network
 from factsflow.gadgets import (
     ExactCoverInstance,
-    GadgetError,
     build_choice_network,
     build_exact_cover_network,
     check_reduction,
@@ -58,11 +57,6 @@ class TestNegativeControl:
         outcome = verify_choice(built.net, built.port, 1)
         assert not outcome.passed
         assert outcome.optimal_emissions == [1.0]
-
-    def test_verifying_constructor_raises(self):
-        with pytest.raises(GadgetError) as err:
-            build_choice_network(1, builder=degenerate_choice_builder, verify=True)
-        assert err.value.verification is not None
 
 
 class TestExactCoverInstance:

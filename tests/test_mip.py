@@ -5,7 +5,7 @@ import math
 import pytest
 
 from factsflow.model import Bus, BusKind, InputError, Line, Network, validate_solution
-from factsflow.linprog import solve_lp
+from factsflow.linprog import LpError, LpResult, solve_lp
 from factsflow.mip import (
     MffConfig,
     build_mff_relaxation,
@@ -98,6 +98,14 @@ class TestSolveMff:
         res = solve_mff(tri_f, MffConfig(gap_tol=0.0, node_limit=1))
         assert res.termination in ("node_limit", "optimal", "gap_reached")
         assert res.objective <= res.upper_bound + 1e-9
+
+    def test_failed_node_lp_is_an_error_not_a_prune(self, tri_f, monkeypatch):
+        # The all-zero point is feasible at every node, so "infeasible" can
+        # only be a numerical failure; pruning on it reported 0 as optimal.
+        monkeypatch.setattr("factsflow.mip.solve_lp",
+                            lambda lp, **kwargs: LpResult("infeasible", None, None))
+        with pytest.raises(LpError):
+            solve_mff(tri_f)
 
     def test_bound_validity_across_instances(self):
         for seed in range(25):

@@ -13,7 +13,6 @@ from factsflow.model import (
     Line,
     Network,
     check_kirchhoff,
-    check_power_law,
     validate_network,
     validate_solution,
 )
@@ -27,33 +26,32 @@ class TestValidateNetwork:
         assert validate_network(tri).ok
 
     def test_duplicate_pair(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
-            lines=(Line("a", "b", 1, 1, 1.0), Line("b", "a", 1, 2, 2.0)),
-        )
-        report = validate_network(net)
-        assert "line.duplicate_pair" in report.codes()
+        with pytest.raises(InputError, match="line.duplicate_pair"):
+            Network(
+                buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
+                lines=(Line("a", "b", 1, 1, 1.0), Line("b", "a", 1, 2, 2.0)),
+            )
 
     def test_inverted_interval(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
-            lines=(Line("a", "b", 2.0, 1.0, 1.0),),
-        )
-        assert "line.bad_interval" in validate_network(net).codes()
+        with pytest.raises(InputError, match="line.bad_interval"):
+            Network(
+                buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
+                lines=(Line("a", "b", 2.0, 1.0, 1.0),),
+            )
 
     def test_dangling_endpoint(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR),),
-            lines=(Line("a", "ghost", 1, 1, 1.0),),
-        )
-        assert "line.dangling_endpoint" in validate_network(net).codes()
+        with pytest.raises(InputError, match="line.dangling_endpoint"):
+            Network(
+                buses=(Bus("a", BusKind.GENERATOR),),
+                lines=(Line("a", "ghost", 1, 1, 1.0),),
+            )
 
     def test_negative_capacity(self):
-        net = Network(
-            buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
-            lines=(Line("a", "b", 1, 1, -2.0),),
-        )
-        assert "line.negative_capacity" in validate_network(net).codes()
+        with pytest.raises(InputError, match="line.negative_capacity"):
+            Network(
+                buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
+                lines=(Line("a", "b", 1, 1, -2.0),),
+            )
 
     def test_zero_capacity_is_warning_only(self):
         net = Network(
@@ -65,8 +63,8 @@ class TestValidateNetwork:
         assert "line.zero_capacity" in [v.code for v in report.warnings]
 
     def test_self_loop(self):
-        net = Network(buses=(Bus("a"),), lines=(Line("a", "a", 1, 1, 1.0),))
-        assert "line.self_loop" in validate_network(net).codes()
+        with pytest.raises(InputError, match="line.self_loop"):
+            Network(buses=(Bus("a"),), lines=(Line("a", "a", 1, 1, 1.0),))
 
 
 class TestCheckKirchhoff:
@@ -102,10 +100,12 @@ class TestCheckPowerLaw:
         )
 
     def test_consistent(self, single_line):
-        assert check_power_law(single_line, self._sol(single_line, 2.0, 3.0, 6.0))
+        report = validate_solution(single_line, self._sol(single_line, 2.0, 3.0, 6.0))
+        assert "solution.power_law" not in report.codes()
 
     def test_inconsistent(self, single_line):
-        assert not check_power_law(single_line, self._sol(single_line, 2.0, 3.0, 5.0))
+        report = validate_solution(single_line, self._sol(single_line, 2.0, 3.0, 5.0))
+        assert "solution.power_law" in report.codes()
 
 
 class TestValidateSolution:
