@@ -394,6 +394,15 @@ def _field(entry: dict, name: str, where: str):
         raise InputError(f"{where} misses field {name!r}") from None
 
 
+def _id(entry: dict, name: str, where: str) -> str:
+    """Field ``name`` of ``entry`` as a bus id.  Only JSON strings and
+    integers are ids; ``str()`` of anything else would invent one."""
+    value = _field(entry, name, where)
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InputError(f"{where} has bad {name} {value!r}: ids are strings or integers")
+    return str(value)
+
+
 def _number(value, name: str, where: str) -> float:
     try:
         return float(value)
@@ -439,7 +448,7 @@ def deserialize_network(text: str) -> Network:
             kind = BusKind(entry.get("kind", "junction"))
         except ValueError:
             raise InputError(f"bad bus kind {entry.get('kind')!r}") from None
-        buses.append(Bus(str(_field(entry, "id", "bus entry")), kind))
+        buses.append(Bus(_id(entry, "id", "bus entry"), kind))
     lines = []
     for entry in _section(doc, "lines", list):
         extra = set(entry) - _LINE_FIELDS
@@ -449,7 +458,7 @@ def deserialize_network(text: str) -> Network:
             kind = LineKind(entry.get("kind", "regular"))
         except ValueError:
             raise InputError(f"bad line kind {entry.get('kind')!r}") from None
-        a, b = (str(_field(entry, end, "line entry")) for end in ("a", "b"))
+        a, b = (_id(entry, end, "line entry") for end in ("a", "b"))
         where = f"line {a}-{b}"
         lines.append(
             Line(
@@ -499,7 +508,7 @@ def deserialize_solution(text: str) -> LdcSolution:
     def line_map(name: str) -> dict[LineId, float]:
         out = {}
         for e in _section(doc, name, list):
-            key = tuple(str(_field(e, end, f"{name} entry")) for end in ("a", "b"))
+            key = tuple(_id(e, end, f"{name} entry") for end in ("a", "b"))
             out[key] = _number(_field(e, "value", f"{name} entry"), "value",
                                f"{name} entry {key[0]}-{key[1]}")
         return out

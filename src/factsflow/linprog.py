@@ -1,12 +1,18 @@
 """A small dense linear-programming solver.
 
 The solver implements the bounded-variable primal simplex method on a dense
-tableau, with a textbook two-phase start (artificial variables) and a Bland
-anti-cycling fallback.  It is written for the moderate problem sizes this
-package produces (tens to a few hundred variables) and favours exactness and
-determinism over raw speed: solutions are basic, so optimal values such as
-line capacities are reproduced bit-for-bit rather than to interior-point
-accuracy.
+tableau, with a Bland anti-cycling fallback.  Every solve starts at zero:
+each variable rests at 0 projected onto its bounds and every row's slack is
+basic, so the start basis is the identity.  A row whose slack falls outside
+its bounds at that start gets an artificial variable, and phase 1 drives
+only those artificials to zero.  When no row breaks, as for MPF, MVF and the
+MFF relaxation (whose all-zero operating point is feasible), the solve goes
+straight to phase 2.
+
+It is written for the moderate problem sizes this package produces (tens to
+a few hundred variables) and favours exactness and determinism over raw
+speed: solutions are basic, so optimal values such as line capacities are
+reproduced bit-for-bit rather than to interior-point accuracy.
 
 Variables carry individual bounds which may be infinite on either side;
 constraints are linear expressions compared to a right-hand side with one of
@@ -40,9 +46,12 @@ _FEAS_TOL = 1e-7
 #: Reduced costs at or below this magnitude do not make a column eligible.
 _COST_EPS = 1e-11
 
+# Nonbasic statuses, then basic.  ``_AT_ZERO`` is a nonbasic column resting
+# at 0 strictly between its bounds (either of which may be infinite): it may
+# enter in either direction, and a flip leaves it on the bound it ran to.
 _AT_LB = 0
 _AT_UB = 1
-_FREE = 2
+_AT_ZERO = 2
 _BASIC = 3
 
 
@@ -134,25 +143,27 @@ def lp_format(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Dense simplex working state over the equality standard form."""
+    """Dense simplex working state over the equality standard form.
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+    The start basis ``basis`` must pick out the columns of ``A`` that form
+    the identity, so the start tableau is ``A`` itself and needs no
+    factorisation.  Every other column starts nonbasic at 0 projected onto
+    its bounds: on ``lb`` when ``lb >= 0``, on ``ub`` when ``ub <= 0``, and
+    otherwise at zero strictly between them.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                 basis: np.ndarray):
         self.A = A
         self.b = b
         self.lb = lb
         self.ub = ub
         self.m, self.N = A.shape
-        self.stat = np.empty(self.N, dtype=np.int8)
-        for j in range(self.N):
-            if math.isfinite(lb[j]):
-                self.stat[j] = _AT_LB
-            elif math.isfinite(ub[j]):
-                self.stat[j] = _AT_UB
-            else:
-                self.stat[j] = _FREE
-        self.basis = np.empty(self.m, dtype=np.int64)
-        self.T = np.empty((0, 0))
-        self.beta = np.empty(0)
+        self.stat = np.where(lb >= 0.0, _AT_LB, np.where(ub <= 0.0, _AT_UB, _AT_ZERO)).astype(np.int8)
+        self.basis = basis.copy()
+        self.stat[self.basis] = _BASIC
+        self.T = A.copy()
+        self.beta = b - A @ self._nonbasic_values()
 
     def nonbasic_value(self, j: int) -> float:
         if self.stat[j] == _AT_LB:
@@ -161,38 +172,26 @@ class _Tableau:
             return self.ub[j]
         return 0.0
 
+    def _nonbasic_values(self) -> np.ndarray:
+        """Every column's nonbasic value, with 0 on the basic columns."""
+        return np.where(self.stat == _AT_LB, self.lb, np.where(self.stat == _AT_UB, self.ub, 0.0))
+
     def values(self) -> np.ndarray:
-        x = np.array([self.nonbasic_value(j) for j in range(self.N)])
+        x = self._nonbasic_values()
         x[self.basis] = self.beta
         return x
 
-    def set_basis(self, basis: np.ndarray) -> None:
-        """Install a basis and rebuild the tableau from scratch."""
-        self.basis = basis.copy()
-        B = self.A[:, basis]
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise LpError("singular basis") from exc
-        self.T = Binv @ self.A
-        self.stat[basis] = _BASIC
-        self._recompute_beta()
-
-    def _recompute_beta(self) -> None:
-        x_n = np.array([self.nonbasic_value(j) for j in range(self.N)])
-        x_n[self.basis] = 0.0
-        rhs = self.b - self.A @ x_n
-        self.beta = np.linalg.solve(self.A[:, self.basis], rhs)
-
     def refresh(self, strict: bool = True) -> bool:
         """Refactorise to purge accumulated floating-point drift."""
+        B = self.A[:, self.basis]
         try:
-            self.set_basis(self.basis)
-            return True
-        except LpError:
+            self.T = np.linalg.inv(B) @ self.A
+            self.beta = np.linalg.solve(B, self.b - self.A @ self._nonbasic_values())
+        except np.linalg.LinAlgError as exc:
             if strict:
-                raise
+                raise LpError("singular basis") from exc
             return False
+        return True
 
     def simplex(self, c: np.ndarray, *, allow_unbounded: bool) -> str:
         """Run primal simplex for objective ``c`` (maximise).
@@ -218,13 +217,11 @@ class _Tableau:
 
             # Entering candidates by status.
             cand_dir = np.zeros(N)
-            at_lb = (self.stat == _AT_LB) & movable
-            at_ub = (self.stat == _AT_UB) & movable
-            free = self.stat == _FREE
-            cand_dir[at_lb & (d > _COST_EPS)] = 1.0
-            cand_dir[at_ub & (d < -_COST_EPS)] = -1.0
-            cand_dir[free & (d > _COST_EPS)] = 1.0
-            cand_dir[free & (d < -_COST_EPS)] = -1.0
+            at_zero = self.stat == _AT_ZERO
+            rises = ((self.stat == _AT_LB) & movable) | at_zero
+            falls = ((self.stat == _AT_UB) & movable) | at_zero
+            cand_dir[rises & (d > _COST_EPS)] = 1.0
+            cand_dir[falls & (d < -_COST_EPS)] = -1.0
             eligible = np.nonzero(cand_dir != 0.0)[0]
             if eligible.size == 0:
                 return "optimal"
@@ -262,7 +259,8 @@ class _Tableau:
                 ratio = np.maximum(ratio, 0.0)
                 relaxed = np.maximum(relaxed, 0.0)
 
-                t_flip = self.ub[j] - self.lb[j] if self.stat[j] != _FREE else INF
+                value = self.nonbasic_value(j)
+                t_flip = self.ub[j] - value if direction > 0 else value - self.lb[j]
                 t_pivot = float(np.min(ratio))
                 t_relaxed = float(np.min(relaxed))
 
@@ -274,9 +272,10 @@ class _Tableau:
                     raise LpError("unexpected unbounded direction")
 
                 if t_flip <= t_pivot:
-                    # Bound flip: the entering variable runs to its other bound.
+                    # Bound flip: the entering variable runs to the bound it
+                    # moves towards.
                     self.beta = self.beta - step * t_flip
-                    self.stat[j] = _AT_UB if self.stat[j] == _AT_LB else _AT_LB
+                    self.stat[j] = _AT_UB if direction > 0 else _AT_LB
                     degenerate_streak = 0
                     acted = True
                     break
@@ -292,7 +291,7 @@ class _Tableau:
                     continue
                 t = float(min(max(ratio[r], 0.0), t_flip))
 
-                entering_value = self.nonbasic_value(j) + direction * t
+                entering_value = value + direction * t
                 leaving = int(self.basis[r])
                 new_beta = self.beta - step * t
                 leave_val = new_beta[r]
@@ -378,6 +377,11 @@ def solve_lp(lp: LinearProgram,
              bound_overrides: dict[int, tuple[float, float]] | None = None) -> LpResult:
     """Solve ``lp`` to optimality.
 
+    The solve starts from every variable at 0 projected onto its bounds, on
+    the slack basis.  Rows that this start violates get an artificial
+    variable each and a phase 1 over those artificials alone; when the start
+    violates no row, phase 2 runs at once on the ``m x (n + m)`` tableau.
+
     Returns an :class:`LpResult` whose status is ``optimal`` (with a feasible
     assignment and objective), ``infeasible`` or ``unbounded``.  Numerical
     breakdown raises :class:`LpError` instead of being misreported as one of
@@ -389,43 +393,55 @@ def solve_lp(lp: LinearProgram,
     A, b, lb, ub, c = _standard_form(lp, bound_overrides)
     m, N = A.shape
 
+    x0 = np.clip(0.0, lb, ub)
+
     if m == 0:
         # Pure box problem: each variable sits on the bound its cost prefers.
-        x = np.where(c > 0, ub, np.where(c < 0, lb, np.where(np.isfinite(lb), lb, 0.0)))
+        x = np.where(c > 0, ub, np.where(c < 0, lb, x0))
         if np.any(~np.isfinite(x)):
             return LpResult("unbounded", None, None)
         return LpResult("optimal", float(c @ x), x[: lp.num_vars])
 
-    # Phase 1: artificial columns with signs matching the initial residual.
-    x0 = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    # Start on the slack basis with every variable at x0, so each slack holds
+    # its row's residual.  A row whose residual lies outside its slack's
+    # bounds breaks the start: its slack rests at 0 (the bound nearest the
+    # residual) and an artificial column takes the residual instead.  Such a
+    # row is negated where its residual is negative, so that the artificial
+    # starts nonnegative and the start basis stays the identity.
+    n = lp.num_vars
     resid = b - A @ x0
-    art_cols = np.zeros((m, m))
-    for i in range(m):
-        art_cols[i, i] = 1.0 if resid[i] >= 0 else -1.0
-    A1 = np.hstack([A, art_cols])
-    lb1 = np.concatenate([lb, np.zeros(m)])
-    ub1 = np.concatenate([ub, np.full(m, INF)])
-    tab1 = _Tableau(A1, b, lb1, ub1)
-    tab1.set_basis(np.arange(N, N + m))
+    broken = np.nonzero((resid < lb[n:]) | (resid > ub[n:]))[0]
+    negate = broken[resid[broken] < 0.0]
+    A[negate] *= -1.0
+    b[negate] *= -1.0
+    k = broken.size
+    artificials = np.zeros((m, k))
+    artificials[broken, np.arange(k)] = 1.0
+    basis = np.arange(n, N)
+    basis[broken] = np.arange(N, N + k)
+    tab = _Tableau(np.hstack([A, artificials]) if k else A, b,
+                   np.concatenate([lb, np.zeros(k)]), np.concatenate([ub, np.full(k, INF)]), basis)
 
-    c1 = np.zeros(N + m)
-    c1[N:] = -1.0
-    tab1.simplex(c1, allow_unbounded=False)
-    art_total = float(np.sum(np.abs(tab1.values()[N:])))
-    if art_total > _FEAS_TOL:
-        return LpResult("infeasible", None, None)
+    if k:
+        # Phase 1 over the broken rows only: drive their artificials to 0,
+        # then freeze them there.
+        c1 = np.zeros(N + k)
+        c1[N:] = -1.0
+        tab.simplex(c1, allow_unbounded=False)
+        if float(np.sum(np.abs(tab.values()[N:]))) > _FEAS_TOL:
+            return LpResult("infeasible", None, None)
+        tab.lb[N:] = 0.0
+        tab.ub[N:] = 0.0
 
-    # Freeze artificials at zero and optimise the true objective.
-    tab1.lb[N:] = 0.0
-    tab1.ub[N:] = 0.0
-    c2 = np.concatenate([c, np.zeros(m)])
-    status = tab1.simplex(c2, allow_unbounded=True)
+    c2 = np.concatenate([c, np.zeros(k)])
+    status = tab.simplex(c2, allow_unbounded=True)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 
-    x = tab1.values()[:N]
-    # Verification against the original rows; refresh and retry once if the
-    # tableau drifted beyond tolerance.  x includes the slack columns, so
+    x = tab.values()[:N]
+    # Verification against the rows (negating a row above changes no
+    # residual's size); refresh and retry once if the tableau drifted beyond
+    # tolerance.  x includes the slack columns, so
     # rows must hold as equalities; bounds cover the senses.  Residuals are
     # judged relative to the magnitude of the row's own terms.
     row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
@@ -442,9 +458,9 @@ def solve_lp(lp: LinearProgram,
             break
         if attempt == 1:
             raise LpError("solution failed final feasibility verification")
-        tab1.refresh()
-        tab1.simplex(c2, allow_unbounded=True)
-        x = tab1.values()[:N]
+        tab.refresh()
+        tab.simplex(c2, allow_unbounded=True)
+        x = tab.values()[:N]
         row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
 
     obj = float(c @ x)

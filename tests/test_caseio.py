@@ -300,6 +300,32 @@ class TestSerialization:
         with pytest.raises(InputError, match=f"section '{section}'"):
             read(json.dumps({"schema": 1, section: value}))
 
+    @pytest.mark.parametrize("bad", [None, [1], True], ids=["null", "list", "boolean"])
+    @pytest.mark.parametrize("read, field, doc", [
+        (deserialize_network, "id", lambda v: {"buses": [{"id": v, "kind": "generator"}]}),
+        (deserialize_network, "a", lambda v: {
+            "buses": [{"id": "x"}], "lines": [{"a": v, "b": "x", "s_min": 1, "s_max": 1,
+                                               "capacity": 1}]}),
+        (deserialize_network, "b", lambda v: {
+            "buses": [{"id": "x"}], "lines": [{"a": "x", "b": v, "s_min": 1, "s_max": 1,
+                                               "capacity": 1}]}),
+        (deserialize_solution, "a", lambda v: {"flow": [{"a": v, "b": "x", "value": 1}]}),
+        (deserialize_solution, "b", lambda v: {"susceptance": [{"a": "x", "b": v, "value": 1}]}),
+    ], ids=["bus-id", "line-a", "line-b", "flow-a", "susceptance-b"])
+    def test_non_id_value_named_in_error(self, read, field, doc, bad):
+        with pytest.raises(InputError, match=f"has bad {field} "):
+            read(json.dumps({"schema": 1, **doc(bad)}))
+
+    def test_integer_ids_read_as_strings(self):
+        net = deserialize_network(json.dumps({
+            "schema": 1,
+            "buses": [{"id": 1, "kind": "generator"}, {"id": 2, "kind": "load"}],
+            "lines": [{"a": 1, "b": 2, "s_min": 1, "s_max": 1, "capacity": 3}],
+        }))
+        assert [b.id for b in net.buses] == ["1", "2"]
+        assert net.lines[0].key == ("1", "2")
+        assert deserialize_network(serialize_network(net)) == net
+
     def test_solution_round_trip(self, tri):
         from factsflow.formulations import solve_mpf
 

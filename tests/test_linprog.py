@@ -165,6 +165,51 @@ def test_declared_variable_enforcement():
         lp.add_var("bad", 2.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi, expected", [
+    (-3.0, 5.0, 0.0), (-INF, 5.0, 0.0), (-2.0, INF, 0.0), (-INF, INF, 0.0),
+    (2.0, 7.0, 2.0), (-7.0, -2.0, -2.0), (-INF, -1.0, -1.0),
+])
+def test_start_is_zero_projected_onto_the_bounds(lo, hi, expected):
+    # With a zero objective no column is eligible, so the start is returned.
+    lp = LinearProgram()
+    x = lp.add_var("x", lo, hi)
+    y = lp.add_var("y", 0.0, 1.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 10.0)
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.value(x) == expected
+
+
+@pytest.mark.parametrize("cost, row, expected", [
+    (1.0, None, 5.0),                # upward to the bound: a flip
+    (1.0, ("<=", 2.0), 2.0),         # upward until the row binds: a pivot
+    (-1.0, None, -3.0),              # downward to the bound: a flip
+    (-1.0, (">=", -1.0), -1.0),      # downward until the row binds: a pivot
+], ids=["up-flip", "up-pivot", "down-flip", "down-pivot"])
+def test_variable_leaves_zero_in_either_direction(cost, row, expected):
+    lp = LinearProgram()
+    x = lp.add_var("x", -3.0, 5.0)
+    y = lp.add_var("y", 0.0, 1.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 10.0)
+    if row is not None:
+        lp.add_constraint({x: 1.0}, *row)
+    lp.set_objective({x: cost})
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.value(x) == pytest.approx(expected, abs=1e-12)
+    assert res.objective == pytest.approx(cost * expected, abs=1e-12)
+
+
+def test_unrepairable_broken_row_is_infeasible():
+    lp = LinearProgram()
+    x = lp.add_var("x", 0.0, 2.0)
+    y = lp.add_var("y", 0.0, 1.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 4.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, ">=", 5.0)  # breaks at zero; x + y <= 3
+    lp.set_objective({x: 1.0})
+    assert solve_lp(lp).status == "infeasible"
+
+
 def _random_program(rng: random.Random) -> LinearProgram:
     """A small program mixing row senses and finite, one-sided and free bounds."""
     lp = LinearProgram()
@@ -227,3 +272,69 @@ def test_random_programs_match_highs():
         if status == "optimal":
             assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("cost", [(2.0, 1.0, -1.0), (-1.0, 0.0, 3.0), (0.0, -2.0, -1.0)])
+def test_one_broken_row_of_three_matches_highs(cost):
+    pytest.importorskip("scipy.optimize")
+    lp = LinearProgram()
+    x = lp.add_var("x", 0.0, 10.0)
+    y = lp.add_var("y", 0.0, 10.0)
+    z = lp.add_var("z", -5.0, 5.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 8.0)
+    lp.add_constraint({x: 1.0, z: -1.0}, ">=", 3.0)  # the only row broken at zero
+    lp.add_constraint({y: 1.0, z: 1.0}, "=", 0.0)
+    lp.set_objective(dict(zip((x, y, z), cost)))
+    ours = solve_lp(lp)
+    status, value = _highs(lp)
+    assert (ours.status, status) == ("optimal", "optimal")
+    assert ours.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def _degenerate_program(rng: random.Random) -> LinearProgram:
+    """A program whose start at zero is feasible and highly degenerate.
+
+    Every row has rhs 0 and every variable's bounds contain 0, as in MPF and
+    the MFF node LPs.  Bounds straddle zero, touch it or are one-sided or
+    free, and some rows are repeated, scaled or with a different sense.
+    """
+    lp = LinearProgram()
+    n = rng.randint(2, 7)
+    for i in range(n):
+        kind = rng.choice(["straddle", "straddle", "lower", "upper", "free"])
+        lo, hi = -INF, INF
+        if kind == "straddle":
+            lo, hi = -rng.randint(1, 5), rng.randint(1, 5)
+        elif kind == "lower":
+            lo = -rng.randint(0, 3)
+        elif kind == "upper":
+            hi = rng.randint(0, 3)
+        lp.add_var(f"v{i}", float(lo), float(hi))
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {j: float(rng.randint(-3, 3)) for j in rng.sample(range(n), rng.randint(1, n))}
+        rows.append((coeffs, rng.choice(["<=", "=", ">="])))
+    for coeffs, sense in rows[: rng.randint(1, len(rows))]:
+        scale = rng.choice([1.0, 1.0, 2.0, -1.0])
+        flipped = {"<=": ">=", ">=": "<=", "=": "="}[sense] if scale < 0 else sense
+        rows.append(({j: scale * c for j, c in coeffs.items()}, rng.choice([sense, flipped])))
+    rng.shuffle(rows)
+    for coeffs, sense in rows:
+        lp.add_constraint(coeffs, sense, 0.0)
+    lp.set_objective({j: float(rng.randint(-3, 3)) for j in range(n)})
+    return lp
+
+
+def test_degenerate_programs_match_highs():
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(20261019)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(250):
+        lp = _degenerate_program(rng)
+        ours = solve_lp(lp)
+        status, value = _highs(lp)
+        assert ours.status == status, lp_format(lp)
+        seen[status] += 1
+        if status == "optimal":
+            assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
+    assert seen["infeasible"] == 0 and min(seen["optimal"], seen["unbounded"]) >= 20, seen
