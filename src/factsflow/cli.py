@@ -137,8 +137,13 @@ def _cmd_mff(args) -> int:
 
 
 def _run_trial(net: Network, spec: caseio.ScenarioSpec, mff_time: float,
-               gap: float, index: int) -> str:
-    """One scenario trial as its CSV row; picklable for a worker pool."""
+               gap: float, index: int) -> tuple[str, str | None]:
+    """One scenario trial as its CSV row, and a warning if a stage failed.
+
+    Picklable for a worker pool.  The stages run in the order of their CSV
+    columns, so a stage that raises :class:`LpError` leaves its own column
+    and every later one blank.
+    """
     seed = caseio.derive_seed(spec.seed, index)
     t0 = time.monotonic()
     variant = caseio.remove_random_lines(net, spec.lines_removed, seed)
@@ -147,25 +152,36 @@ def _run_trial(net: Network, spec: caseio.ScenarioSpec, mff_time: float,
     )
     if spec.gen_factor != 1.0 or spec.load_factor != 1.0:
         variant = caseio.apply_congestion_factors(variant, spec.gen_factor, spec.load_factor)
-    mf_value = max_flow(variant).value
-    im = multi_start_im(variant)
-    # The midpoint start's first step is the MPF at the interval midpoints.
-    mpf_value = im.runs["mid"].trace.steps[0][1]
-    mff = solve_mff(
-        variant,
-        MffConfig(gap_tol=gap, time_limit=mff_time),
-        warm_start=im.best.solution,
-    )
+    done: list[float] = []  # mpf, im, mff, gap as their stages finish
+    stage = "im"
+    try:
+        im = multi_start_im(variant)
+        # The midpoint start's first step is the MPF at the interval midpoints.
+        done += [im.runs["mid"].trace.steps[0][1], im.value]
+        stage = "mff"
+        mff = solve_mff(
+            variant,
+            MffConfig(gap_tol=gap, time_limit=mff_time),
+            warm_start=im.best.solution,
+        )
+        done += [mff.objective, mff.gap]
+        stage = "mf"
+        mf_value = max_flow(variant).value
+    except LpError as exc:
+        cells = [f"trial{index}", str(seed)] + [f"{v:.6f}" for v in done]
+        cells += [""] * (caseio.RUN_CSV_HEADER.count(",") + 1 - len(cells))
+        return ",".join(cells), f"trial {index}: {stage}: {exc}"
+    mpf_value, im_value, mff_value, mff_gap = done
     return caseio.format_run_row(
         scenario=f"trial{index}",
         seed=seed,
         mpf=mpf_value,
-        im=im.value,
-        mff=mff.objective,
-        gap=mff.gap,
+        im=im_value,
+        mff=mff_value,
+        gap=mff_gap,
         mf=mf_value,
         runtime_s=time.monotonic() - t0,
-    )
+    ), None
 
 
 def _cmd_scenario(args) -> int:
@@ -180,6 +196,7 @@ def _cmd_scenario(args) -> int:
     )
     trial = functools.partial(_run_trial, net, spec, args.mff_time_limit, args.gap)
 
+    failed = 0
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         out.write(caseio.RUN_CSV_HEADER + "\n")
@@ -188,13 +205,16 @@ def _cmd_scenario(args) -> int:
             run = map
             if args.jobs > 1:
                 run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
-            for row in run(trial, range(args.trials)):  # in trial order either way
+            for row, warning in run(trial, range(args.trials)):  # in trial order either way
                 out.write(row + "\n")
                 out.flush()
+                if warning is not None:
+                    failed += 1
+                    print(f"warning: {warning}", file=sys.stderr)
     finally:
         if args.output:
             out.close()
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_encode(args) -> int:

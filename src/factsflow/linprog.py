@@ -9,10 +9,13 @@ only those artificials to zero.  When no row breaks, as for MPF, MVF and the
 MFF relaxation (whose all-zero operating point is feasible), the solve goes
 straight to phase 2.
 
-It is written for the moderate problem sizes this package produces (tens to
-a few hundred variables) and favours exactness and determinism over raw
-speed: solutions are basic, so optimal values such as line capacities are
-reproduced bit-for-bit rather than to interior-point accuracy.
+The tableau is stored dense, but network programs make it hypersparse: a
+pivot updates only the rows with a nonzero in the entering column and the
+columns with a nonzero in the pivot row, and its ratio test reads only the
+rows the entering column moves.  Every skipped entry would only have a zero
+subtracted from it, so this matches the dense update bit for bit, up to the
+sign of an exact zero.  Solutions are basic, so optimal values such as line
+capacities are reproduced exactly rather than to interior-point accuracy.
 
 Variables carry individual bounds which may be infinite on either side;
 constraints are linear expressions compared to a right-hand side with one of
@@ -143,7 +146,13 @@ def lp_format(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Dense simplex working state over the equality standard form.
+    """Simplex working state over the equality standard form.
+
+    ``T`` is the dense tableau ``inv(B) @ A``, kept C-ordered.  A pivot
+    touches only the block of rows where the entering column is nonzero and
+    columns where the pivot row is nonzero, with the same arithmetic the
+    dense rank-one update applies there; every 300 pivots ``T`` is
+    refactorised from ``A``.
 
     The start basis ``basis`` must pick out the columns of ``A`` that form
     the identity, so the start tableau is ``A`` itself and needs no
@@ -193,6 +202,20 @@ class _Tableau:
             return False
         return True
 
+    def pivot(self, r: int, j: int, rows: np.ndarray) -> None:
+        """Rank-one update of ``T`` for column ``j`` entering in row ``r``.
+
+        ``rows`` are the other rows where column ``j`` is nonzero.  Only they
+        and the columns where row ``r`` is nonzero change; every other entry
+        would only have a zero subtracted from it.
+        """
+        T = self.T
+        pivot_row = T[r]
+        cols = pivot_row.nonzero()[0]
+        pivot_row[cols] /= T[r, j]
+        block = (rows[:, None] * self.N + cols).ravel()  # flat indices; T is C-ordered
+        T.reshape(-1)[block] -= (T[rows, j][:, None] * pivot_row[cols]).ravel()
+
     def simplex(self, c: np.ndarray, *, allow_unbounded: bool) -> str:
         """Run primal simplex for objective ``c`` (maximise).
 
@@ -203,66 +226,61 @@ class _Tableau:
         raises :class:`LpError` when the iteration limit is exceeded.
         """
         m, N = self.m, self.N
+        lb, ub, stat, basis = self.lb, self.ub, self.stat, self.basis
         max_iter = 200 * (m + N) + 2000
         degenerate_streak = 0
         since_refresh = 0
         wedged = 0
-        movable = (self.ub - self.lb) > 0.0
+        movable = (ub - lb) > 0.0
         pivot_tol = 1e-8
+        # Which nonbasic columns may rise or fall from their status; kept in
+        # step with ``stat`` as columns flip, enter and leave.
+        rises = ((stat == _AT_LB) & movable) | (stat == _AT_ZERO)
+        falls = ((stat == _AT_UB) & movable) | (stat == _AT_ZERO)
+        # |lb| where finite, the floor of a basic column's feasibility window.
+        lb_scale = np.where(np.isfinite(lb), np.abs(lb), 0.0)
+
+        def mark(k: int) -> None:
+            rises[k] = stat[k] == _AT_ZERO or (stat[k] == _AT_LB and movable[k])
+            falls[k] = stat[k] == _AT_ZERO or (stat[k] == _AT_UB and movable[k])
 
         for _ in range(max_iter):
-            cb = c[self.basis]
-            d = c - cb @ self.T
-            d[self.basis] = 0.0
+            T, beta = self.T, self.beta
+            d = c - c[basis] @ T
+            d[basis] = 0.0
 
-            # Entering candidates by status.
-            cand_dir = np.zeros(N)
-            at_zero = self.stat == _AT_ZERO
-            rises = ((self.stat == _AT_LB) & movable) | at_zero
-            falls = ((self.stat == _AT_UB) & movable) | at_zero
-            cand_dir[rises & (d > _COST_EPS)] = 1.0
-            cand_dir[falls & (d < -_COST_EPS)] = -1.0
-            eligible = np.nonzero(cand_dir != 0.0)[0]
+            up = rises & (d > _COST_EPS)
+            eligible = (up | (falls & (d < -_COST_EPS))).nonzero()[0]
             if eligible.size == 0:
                 return "optimal"
 
             if degenerate_streak > 40:  # Bland: lowest index, escape cycling
                 order = eligible
             else:
-                order = eligible[np.argsort(-np.abs(d[eligible]))]
+                order = eligible[(-np.abs(d[eligible])).argsort()]
 
-            lo_b = self.lb[self.basis]
-            up_b = self.ub[self.basis]
-            feas_window = 1e-9 * np.maximum(
-                1.0, np.maximum(np.abs(self.beta),
-                                np.where(np.isfinite(lo_b), np.abs(lo_b), 0.0))
-            )
             acted = False
             skipped_significant = False
             for j in order[:40]:
                 j = int(j)
-                direction = cand_dir[j]
-                col = self.T[:, j]
-                step = direction * col  # basic values move by -step * t
-
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.full(m, INF)
-                    relaxed = np.full(m, INF)
-                    dec = step > 1e-11
-                    ratio[dec] = (self.beta[dec] - lo_b[dec]) / step[dec]
-                    relaxed[dec] = (self.beta[dec] - lo_b[dec] + feas_window[dec]) / step[dec]
-                    inc = step < -1e-11
-                    ratio[inc] = (self.beta[inc] - up_b[inc]) / step[inc]
-                    relaxed[inc] = (self.beta[inc] - up_b[inc] - feas_window[inc]) / step[inc]
-                ratio[~np.isfinite(ratio)] = INF
-                relaxed[~np.isfinite(relaxed)] = INF
-                ratio = np.maximum(ratio, 0.0)
-                relaxed = np.maximum(relaxed, 0.0)
+                direction = 1.0 if up[j] else -1.0
+                col = T[:, j]
+                # Basic values move by -step * t; only rows with a nonzero in
+                # the entering column move, and only those past the pivot
+                # threshold bound the step.
+                nz = col.nonzero()[0]
+                step = direction * col[nz]
+                cand = (np.abs(step) > 1e-11).nonzero()[0]
+                s = step[cand]
+                rows = nz[cand]
+                held = basis[rows]
+                gap = beta[rows] - np.where(s > 0.0, lb[held], ub[held])
+                # An infinite bound gives an infinite ratio: no limit.
+                ratio = np.maximum(gap / s, 0.0)
 
                 value = self.nonbasic_value(j)
-                t_flip = self.ub[j] - value if direction > 0 else value - self.lb[j]
-                t_pivot = float(np.min(ratio))
-                t_relaxed = float(np.min(relaxed))
+                t_flip = ub[j] - value if direction > 0 else value - lb[j]
+                t_pivot = float(ratio.min(initial=INF))
 
                 if min(t_pivot, t_flip) == INF:
                     if abs(d[j]) <= 1e-7:
@@ -274,8 +292,9 @@ class _Tableau:
                 if t_flip <= t_pivot:
                     # Bound flip: the entering variable runs to the bound it
                     # moves towards.
-                    self.beta = self.beta - step * t_flip
-                    self.stat[j] = _AT_UB if direction > 0 else _AT_LB
+                    beta[nz] -= step * t_flip
+                    stat[j] = _AT_UB if direction > 0 else _AT_LB
+                    mark(j)
                     degenerate_streak = 0
                     acted = True
                     break
@@ -283,37 +302,37 @@ class _Tableau:
                 # Harris-style: among rows within the feasibility window of
                 # the strict minimum, pick the stablest pivot; step length is
                 # that row's own (strict) ratio so bounds stay honoured.
-                near = np.nonzero(ratio <= t_relaxed + 1e-15)[0]
-                r = int(near[np.argmax(np.abs(col[near]))])
-                if abs(col[r]) < pivot_tol:
+                window = 1e-9 * np.maximum(1.0, np.maximum(np.abs(beta[rows]), lb_scale[held]))
+                t_relaxed = float(np.maximum((gap + np.copysign(window, s)) / s, 0.0).min())
+                near = (ratio <= t_relaxed + 1e-15).nonzero()[0]
+                p = int(near[np.abs(s[near]).argmax()])
+                r = int(rows[p])
+                if abs(s[p]) < pivot_tol:
                     if abs(d[j]) > 1e-7:
                         skipped_significant = True
                     continue
-                t = float(min(max(ratio[r], 0.0), t_flip))
+                t = float(min(ratio[p], t_flip))
 
                 entering_value = value + direction * t
-                leaving = int(self.basis[r])
-                new_beta = self.beta - step * t
-                leave_val = new_beta[r]
+                leaving = int(basis[r])
+                beta[nz] -= step * t
+                leave_val = beta[r]
                 # Classify which bound the leaving variable rests on.
-                if math.isfinite(self.lb[leaving]) and abs(leave_val - self.lb[leaving]) <= abs(
-                    leave_val - self.ub[leaving]
+                if math.isfinite(lb[leaving]) and abs(leave_val - lb[leaving]) <= abs(
+                    leave_val - ub[leaving]
                 ):
-                    self.stat[leaving] = _AT_LB
-                elif math.isfinite(self.ub[leaving]):
-                    self.stat[leaving] = _AT_UB
+                    stat[leaving] = _AT_LB
+                elif math.isfinite(ub[leaving]):
+                    stat[leaving] = _AT_UB
                 else:
-                    self.stat[leaving] = _AT_LB  # degenerate: finite lb exists here
+                    stat[leaving] = _AT_LB  # degenerate: finite lb exists here
+                mark(leaving)
 
-                pivot = self.T[r, j]
-                self.T[r, :] /= pivot
-                colj = self.T[:, j].copy()
-                colj[r] = 0.0
-                self.T -= np.outer(colj, self.T[r, :])
-                self.basis[r] = j
-                self.stat[j] = _BASIC
-                new_beta[r] = entering_value
-                self.beta = new_beta
+                self.pivot(r, j, nz[nz != r])
+                basis[r] = j
+                stat[j] = _BASIC
+                mark(j)
+                beta[r] = entering_value
 
                 degenerate_streak = degenerate_streak + 1 if t <= 1e-12 else 0
                 since_refresh += 1

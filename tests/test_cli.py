@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from factsflow import caseio, cli
 from factsflow.cli import run_command
 from factsflow.caseio import deserialize_network, serialize_network
 from factsflow.linprog import LpError
@@ -157,6 +158,46 @@ def test_scenario_worker_pool_matches_serial(workdir):
         return [",".join(r.split(",")[:-1]) for r in path.read_text().splitlines()]
 
     assert stable_part(serial) == stable_part(pooled)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_trial_is_a_row(workdir, monkeypatch, capsys, jobs):
+    net_path = str(workdir / "toy.json")
+    args = ["scenario", net_path, "--trials", "3", "--remove-lines", "1",
+            "--facts-frac", "1.0", "--interval-pct", "30", "--seed", "9"]
+    net = deserialize_network((workdir / "toy.json").read_text())
+
+    def variant(index):  # the edits run_command applies to trial ``index``
+        seed = caseio.derive_seed(9, index)
+        edited = caseio.remove_random_lines(net, 1, seed)
+        return caseio.assign_facts(edited, 1.0, 30.0, caseio.derive_seed(seed, 1))
+
+    doomed = variant(1)
+    assert doomed not in (variant(0), variant(2))
+    clean = workdir / "clean.csv"
+    assert run_command(args + ["-o", str(clean)]) == 0
+    solve_mff = cli.solve_mff
+
+    def flaky(net, *rest, **kwargs):
+        if net == doomed:
+            raise LpError("no numerically stable pivot available")
+        return solve_mff(net, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_mff", flaky)
+    out = workdir / "runs.csv"
+    capsys.readouterr()
+    assert run_command(args + ["--jobs", str(jobs), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: trial 1: mff: no numerically stable pivot available"]
+
+    rows = out.read_text().splitlines()
+    expected = clean.read_text().splitlines()
+    assert len(rows) == 4 and rows[0] == expected[0]
+    for k in (1, 3):  # the other trials are untouched, runtime aside
+        assert rows[k].rsplit(",", 1)[0] == expected[k].rsplit(",", 1)[0]
+    cells = rows[2].split(",")
+    assert cells[:4] == expected[2].split(",")[:4]  # scenario, seed, mpf, im
+    assert cells[4:] == [""] * 5  # mff onwards is blank
 
 
 def test_encode_exact_cover(workdir):

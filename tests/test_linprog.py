@@ -3,9 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from factsflow import formulations, linprog
+from factsflow.formulations import build_mpf_program, extract_signs, midpoint_susceptances, solve_mpf
 from factsflow.linprog import LinearProgram, LpError, lp_format, solve_lp
+from factsflow.mip import build_mff_relaxation
+
+from conftest import random_meshed_zero_lower
 
 INF = math.inf
 
@@ -338,3 +344,70 @@ def test_degenerate_programs_match_highs():
         if status == "optimal":
             assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
     assert seen["infeasible"] == 0 and min(seen["optimal"], seen["unbounded"]) >= 20, seen
+
+
+# Network programs are hypersparse: a pivot touches a few rows and columns of
+# the tableau, so these exercise the skipped entries that the small random
+# programs above never leave.  Seed 0 runs past the periodic refactorisation.
+@pytest.mark.parametrize("seed", range(5))
+def test_network_programs_match_highs(seed):
+    pytest.importorskip("scipy.optimize")
+    net = random_meshed_zero_lower(seed, max_buses=120)
+    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
+    relaxation, _ = build_mff_relaxation(net)
+    for lp in (mpf.lp, relaxation.lp):
+        ours = solve_lp(lp)
+        status, value = _highs(lp)
+        assert (ours.status, status) == ("optimal", "optimal")
+        assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+
+
+class _DenseTableau(linprog._Tableau):
+    """The rank-one update over the whole m x N tableau."""
+
+    def pivot(self, r, j, rows):
+        self.T[r, :] /= self.T[r, j]
+        colj = self.T[:, j].copy()
+        colj[r] = 0.0
+        self.T -= np.outer(colj, self.T[r, :])
+
+
+@pytest.mark.parametrize("seed, program", [(6, "mpf"), (7, "relaxation")])
+def test_sparse_pivot_matches_the_dense_update(monkeypatch, seed, program):
+    """Each entry that changes gets the dense update's arithmetic, so the
+    pivots and ``x`` are the same; ``==`` ignores the sign of an exact zero.
+    The seed-6 program refactorises twice between sparse updates."""
+    net = random_meshed_zero_lower(seed, max_buses=120)
+    if program == "mpf":
+        builder, _ = build_mpf_program(net, midpoint_susceptances(net))
+    else:
+        builder, _ = build_mff_relaxation(net)
+    sparse = solve_lp(builder.lp)
+    monkeypatch.setattr(linprog, "_Tableau", _DenseTableau)
+    dense = solve_lp(builder.lp)
+    assert sparse.status == dense.status == "optimal"
+    assert np.array_equal(sparse.x, dense.x)
+
+
+def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
+    """Pinned flows break their rows at zero, so this program runs phase 1."""
+    pytest.importorskip("scipy.optimize")
+    net = random_meshed_zero_lower(2, max_buses=120)
+    mpf = solve_mpf(net, midpoint_susceptances(net))
+    flows = mpf.injections.flow
+    # Half the MPF point is feasible for its own directions.
+    pinned = {key: 0.5 * f for key, f in flows.items() if abs(f) > 1e-6}
+    pinned = dict(list(pinned.items())[:6])
+    solved = []
+
+    def recording(lp, bound_overrides=None):
+        solved.append((lp, solve_lp(lp, bound_overrides)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(formulations, "solve_lp", recording)
+    assert formulations.solve_mvf(net, extract_signs(net, mpf.theta), pinned_flows=pinned)
+    ((lp, ours),) = solved
+    assert any(sense == "=" and rhs != 0.0 for sense, rhs in zip(lp.senses, lp.rhs))
+    status, value = _highs(lp)
+    assert (ours.status, status) == ("optimal", "optimal")
+    assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
