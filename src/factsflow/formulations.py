@@ -1,4 +1,8 @@
-"""Throughput LPs over a network: fixed-susceptance and fixed-direction.
+"""Network programs: one builder, and the throughput LPs built on it.
+
+:class:`NetworkLp` builds every network program (MPF and MVF here, the MFF
+relaxation in :mod:`factsflow.mip`, the lift and the alternative flow in
+:mod:`factsflow.maxflow`) and reads its vertices back as operating points.
 
 Two linear programs are the workhorses of the whole package:
 
@@ -71,8 +75,15 @@ class ConeParts(NamedTuple):
         return (self.dminus, self.fminus) if bit == 1 else (self.dplus, self.fplus)
 
 
+def _cone_ceiling(ln: Line) -> float:
+    """The top ``s_hi`` of line ``ln``'s direction cones: ``s_max``, or
+    :data:`UNBOUNDED_S_CAP` when ``s_max`` is infinite."""
+    return UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
+
+
 class NetworkLp:
-    """Shared scaffolding: theta / gen / load / flow variables and balance rows."""
+    """Theta / gen / load / flow variables, each line's power law and the
+    balance rows of a network program; reads its vertices back."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -98,6 +109,8 @@ class NetworkLp:
             self.flow[ln.key] = self.lp.add_var(
                 f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity
             )
+        #: Each direction line's ``theta[b] - theta[a]`` over its angle parts.
+        self.angle: dict[LineId, dict[int, float]] = {}
 
     def add_power_law(self, ln: Line, s: float | None = None,
                       bit: int | None = None) -> tuple[int, ...]:
@@ -112,7 +125,7 @@ class NetworkLp:
           ``dplus - dminus = dtheta`` and ``f = fplus - fminus``.
 
         Each direction case is the cone ``s_min * delta <= sgn * f <= s_hi *
-        delta`` with ``s_hi = UNBOUNDED_S_CAP`` on intervals unbounded above.
+        delta`` with ``s_hi`` from :func:`_cone_ceiling`.
         """
         lp = self.lp
         f = self.flow[ln.key]
@@ -124,7 +137,7 @@ class NetworkLp:
             else:
                 lp.add_constraint({f: 1.0, tb: -s, ta: s}, "=", 0.0)
             return ()
-        s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
+        s_hi = _cone_ceiling(ln)
 
         def cone(delta: int, flow: int, sgn: float) -> None:
             # The upper half is written as delta >= f / s_hi for benign scaling.
@@ -138,6 +151,7 @@ class NetworkLp:
             delta = lp.add_var(f"delta[{tag}]", 0.0, math.inf)
             lp.add_constraint({tb: sgn, ta: -sgn, delta: -1.0}, "=", 0.0)
             cone(delta, f, sgn)
+            self.angle[ln.key] = {delta: sgn}
             return (delta,)
         parts = ConeParts(*(lp.add_var(f"{name}[{tag}]", 0.0, math.inf)
                             for name in ConeParts._fields))
@@ -146,6 +160,7 @@ class NetworkLp:
         cone(parts.dplus, parts.fplus, 1.0)
         cone(parts.dminus, parts.fminus, 1.0)
         lp.add_constraint({f: 1.0, parts.fplus: -1.0, parts.fminus: 1.0}, "=", 0.0)
+        self.angle[ln.key] = {parts.dplus: 1.0, parts.dminus: -1.0}
         return parts
 
     def add_balance_rows(self) -> None:
@@ -164,6 +179,44 @@ class NetworkLp:
 
     def set_throughput_objective(self) -> None:
         self.lp.set_objective({idx: 1.0 for idx in self.gen.values()})
+
+    def _dtheta(self, ln: Line, x) -> float:
+        """Line ``ln``'s angle difference at ``x``, from its own angle parts."""
+        return sum(c * float(x[i]) for i, c in self.angle[ln.key].items())
+
+    def cone_bit(self, ln: Line, x) -> int | None:
+        """The direction whose cone holds line ``ln``'s point at ``x``, bit 1
+        on a tie; ``None`` when neither does."""
+        tol = 1e-7
+        s_hi = _cone_ceiling(ln)
+        dtheta, flow = self._dtheta(ln, x), float(x[self.flow[ln.key]])
+        for bit, sgn in ((1, 1.0), (0, -1.0)):
+            d, f = sgn * dtheta, sgn * flow
+            if d >= -tol and ln.s_min * d - tol <= f <= s_hi * d + tol:
+                return bit
+        return None
+
+    def solution(self, x, bits: Mapping[LineId, int]) -> LdcSolution | None:
+        """The operating point at vertex ``x`` with line directions ``bits``.
+
+        A line with a bit takes the susceptance of its flow over its angle
+        difference in that direction (:func:`directed_susceptance`); a line
+        without one takes ``s_min``, as a fixed line or at the all-zero
+        vertex.  ``None`` when flow crosses a vanishing angle difference.
+        """
+        suscept: dict[LineId, float] = {}
+        for ln in self.net.lines:
+            bit = bits.get(ln.key)
+            if bit is None:
+                suscept[ln.key] = ln.s_min
+                continue
+            sgn = 1.0 if bit == 1 else -1.0
+            s = directed_susceptance(ln, sgn * self._dtheta(ln, x),
+                                     abs(float(x[self.flow[ln.key]])))
+            if s is None:
+                return None
+            suscept[ln.key] = s
+        return self.extract(x, suscept)
 
     def extract(self, x, susceptance: dict[LineId, float]) -> LdcSolution:
         """The operating point of the program's solution ``x``."""
@@ -239,7 +292,6 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
     """
     builder = NetworkLp(net)
     lp = builder.lp
-    deltas: dict[LineId, int] = {}
     for ln in net.lines:
         bit = bits.get(ln.key)
         if bit is None:
@@ -249,7 +301,7 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
                 )
             builder.add_power_law(ln, s=ln.s_min)
         else:
-            (deltas[ln.key],) = builder.add_power_law(ln, bit=bit)
+            builder.add_power_law(ln, bit=bit)
     if pinned_flows:
         for key, value in pinned_flows.items():
             if key not in builder.flow:
@@ -262,20 +314,10 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
         return None
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
-
-    suscept: dict[LineId, float] = {}
-    for ln in net.lines:
-        key = ln.key
-        if key not in deltas:
-            suscept[key] = ln.s_min
-            continue
-        f = abs(float(res.x[builder.flow[key]]))
-        s = directed_susceptance(ln, float(res.x[deltas[key]]), f)
-        if s is None:
-            raise LpError(f"line {ln.a}-{ln.b}: flow {f} across a vanishing angle "
-                          "difference")
-        suscept[key] = s
-    return builder.extract(res.x, suscept)
+    sol = builder.solution(res.x, bits)
+    if sol is None:
+        raise LpError("fixed-direction vertex has flow across a vanishing angle difference")
+    return sol
 
 
 def directed_susceptance(ln: Line, delta: float, flow: float) -> float | None:

@@ -414,13 +414,6 @@ def solve_lp(lp: LinearProgram,
 
     x0 = np.clip(0.0, lb, ub)
 
-    if m == 0:
-        # Pure box problem: each variable sits on the bound its cost prefers.
-        x = np.where(c > 0, ub, np.where(c < 0, lb, x0))
-        if np.any(~np.isfinite(x)):
-            return LpResult("unbounded", None, None)
-        return LpResult("optimal", float(c @ x), x[: lp.num_vars])
-
     # Start on the slack basis with every variable at x0, so each slack holds
     # its row's residual.  A row whose residual lies outside its slack's
     # bounds breaks the start: its slack rests at 0 (the bound nearest the

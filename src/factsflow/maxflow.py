@@ -12,7 +12,9 @@ the exact answer:
 
 In those cases an optimal acyclic flow can be *lifted* to a full operating
 point (angles plus susceptances) certifying that the bound is attained.  The
-lift solves a small feasibility LP over phase angles.
+lift solves a small feasibility LP over phase angles, and a flow that does
+not lift is swapped for another optimal one by an LP over flows; both are
+built on :class:`formulations.NetworkLp`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .formulations import _at_rest_susceptance
-from .linprog import LinearProgram, LpError, solve_lp
+from .formulations import NetworkLp, _at_rest_susceptance
+from .linprog import LpError, solve_lp
 from .model import (
     BusKind,
     InjectionSolution,
@@ -233,12 +235,8 @@ def lift_flow_to_ldc(net: Network, inj: InjectionSolution) -> LdcSolution:
     solution, which signals that this particular flow is not realisable
     under the susceptance intervals.
     """
-    lp = LinearProgram()
-    theta = {b.id: lp.add_var(f"theta[{b.id}]", -math.inf, math.inf) for b in net.buses}
-    for comp in net.components():
-        idx = theta[comp[0]]
-        lp.lb[idx] = 0.0
-        lp.ub[idx] = 0.0
+    builder = NetworkLp(net)
+    lp, theta = builder.lp, builder.theta
     t_margin = lp.add_var("margin", 0.0, 1.0)
     uses_margin = False
 
@@ -292,35 +290,14 @@ def _alternative_max_flow(net: Network, value: float, seed: int) -> InjectionSol
     """Another optimal flow, obtained by optimising seeded epsilon costs
     subject to keeping the throughput at ``value``."""
     rng = random.Random(seed)
-    lp = LinearProgram()
-    flow = {ln.key: lp.add_var(f"f[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity)
-            for ln in net.lines}
-    gen = {b.id: lp.add_var(f"g[{b.id}]", 0.0, math.inf) for b in net.buses
-           if b.kind is BusKind.GENERATOR}
-    load = {b.id: lp.add_var(f"l[{b.id}]", 0.0, math.inf) for b in net.buses
-            if b.kind is BusKind.LOAD}
-    per_bus: dict[str, dict[int, float]] = {b.id: {} for b in net.buses}
-    for ln in net.lines:
-        per_bus[ln.a][flow[ln.key]] = 1.0
-        per_bus[ln.b][flow[ln.key]] = -1.0
-    for bus in net.buses:
-        coeffs = dict(per_bus[bus.id])
-        if bus.id in gen:
-            coeffs[gen[bus.id]] = -1.0
-        if bus.id in load:
-            coeffs[load[bus.id]] = 1.0
-        lp.add_constraint(coeffs, "=", 0.0)
-    lp.add_constraint({i: 1.0 for i in gen.values()}, ">=", value - 1e-9)
-    lp.set_objective({i: rng.uniform(-1.0, 1.0) for i in flow.values()})
-    res = solve_lp(lp)
+    builder = NetworkLp(net)
+    builder.add_balance_rows()
+    builder.lp.add_constraint({i: 1.0 for i in builder.gen.values()}, ">=", value - 1e-9)
+    builder.lp.set_objective({i: rng.uniform(-1.0, 1.0) for i in builder.flow.values()})
+    res = solve_lp(builder.lp)
     if res.status != "optimal":
         raise LpError(f"alternative optimum solve returned {res.status}")
-    inj = InjectionSolution(
-        flow={k: float(res.x[i]) for k, i in flow.items()},
-        gen={b: float(res.x[i]) for b, i in gen.items()},
-        load={b: float(res.x[i]) for b, i in load.items()},
-    )
-    return cancel_cycles(net, inj)
+    return cancel_cycles(net, builder.extract(res.x, {}).injections)
 
 
 def mff_via_lemma(net: Network) -> LemmaLift | None:

@@ -31,6 +31,10 @@ its value is the best of its whole subtree, so it becomes an incumbent and
 closes the node.  Fixed lines carry no directional choice; their power law
 is the equality ``f = s * dtheta``.
 
+This module holds only the search.  The relaxation is written by
+:class:`formulations.NetworkLp`, and the search asks that builder which
+cone holds a line's point and what operating point a vertex stands for.
+
 A brute-force reference — enumerate every direction assignment of the
 controllable lines and take the best fixed-direction LP — is provided for
 small instances as :func:`enumerate_signs_oracle`.
@@ -46,22 +50,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .linprog import LpError, solve_lp
-from .model import (
-    DEFAULT_TOL,
-    InjectionSolution,
-    InputError,
-    LdcSolution,
-    Line,
-    Network,
-    validate_solution,
-)
-from .formulations import (
-    UNBOUNDED_S_CAP,
-    ConeParts,
-    NetworkLp,
-    directed_susceptance,
-    solve_mvf,
-)
+from .model import DEFAULT_TOL, InputError, LdcSolution, Network, validate_solution
+from .formulations import ConeParts, NetworkLp, solve_mvf
 
 __all__ = [
     "MffConfig",
@@ -115,43 +105,6 @@ def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConePart
     return builder, parts
 
 
-def _zero_solution(net: Network) -> LdcSolution:
-    suscept = {ln.key: ln.s_min for ln in net.lines}
-    theta = {b.id: 0.0 for b in net.buses}
-    inj = InjectionSolution(flow={ln.key: 0.0 for ln in net.lines}, gen={}, load={})
-    return LdcSolution(susceptance=suscept, theta=theta, injections=inj)
-
-
-def _cone_bit(ln: Line, dtheta: float, flow: float) -> int | None:
-    """The direction whose cone holds ``(dtheta, flow)``, bit 1 on a tie;
-    ``None`` when neither does."""
-    tol = 1e-7
-    s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
-    for bit, sgn in ((1, 1.0), (0, -1.0)):
-        d, f = sgn * dtheta, sgn * flow
-        if d >= -tol and ln.s_min * d - tol <= f <= s_hi * d + tol:
-            return bit
-    return None
-
-
-def _node_solution(net: Network, builder: NetworkLp, x,
-                   bits: dict[LineId, int]) -> LdcSolution | None:
-    """The operating point of a closed node's LP vertex ``x``, or ``None``
-    when a line's susceptance cannot be read off it."""
-    suscept: dict[LineId, float] = {}
-    for ln in net.lines:
-        if ln.key not in bits:
-            suscept[ln.key] = ln.s_min
-            continue
-        sgn = 1.0 if bits[ln.key] == 1 else -1.0
-        dtheta = float(x[builder.theta[ln.b]]) - float(x[builder.theta[ln.a]])
-        s = directed_susceptance(ln, sgn * dtheta, abs(float(x[builder.flow[ln.key]])))
-        if s is None:
-            return None
-        suscept[ln.key] = s
-    return builder.extract(x, suscept)
-
-
 def solve_mff(net: Network, config: MffConfig | None = None,
               warm_start: LdcSolution | None = None) -> MffResult:
     """Exact maximum throughput by branch and bound over direction bits.
@@ -174,7 +127,8 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     builder, parts = build_mff_relaxation(net)
     by_key = {ln.key: ln for ln in net.lines}
 
-    incumbent_sol = _zero_solution(net)
+    # The all-zero vertex is feasible at every node: the incumbent to beat.
+    incumbent_sol = builder.solution([0.0] * builder.lp.num_vars, {})
     incumbent = 0.0
     if warm_start is not None:
         report = validate_solution(net, warm_start, DEFAULT_TOL)
@@ -219,9 +173,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         for key, p in parts.items():
             if key in bits:
                 continue
-            ln = by_key[key]
-            dtheta = float(x[builder.theta[ln.b]] - x[builder.theta[ln.a]])
-            bit = _cone_bit(ln, dtheta, float(x[builder.flow[key]]))
+            bit = builder.cone_bit(by_key[key], x)
             if bit is None:
                 plus = float(x[p.dplus] + x[p.fplus])
                 minus = float(x[p.dminus] + x[p.fminus])
@@ -229,7 +181,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             else:
                 bits[key] = bit
         if not split:
-            candidate = _node_solution(net, builder, x, bits)
+            candidate = builder.solution(x, bits)
             if candidate is not None and validate_solution(net, candidate, DEFAULT_TOL).ok:
                 value = candidate.value
             else:

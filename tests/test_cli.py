@@ -11,7 +11,7 @@ from factsflow.caseio import deserialize_network, serialize_network
 from factsflow.linprog import LpError
 from factsflow.model import validate_solution
 
-from conftest import tri_network
+from conftest import random_small_net, tri_network
 
 CASE = """\
 function mpc = toy
@@ -110,6 +110,29 @@ def test_mff_verbose_trace_stays_off_stdout(tri_f_path, capsys, monkeypatch, fla
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["14.000000"]
     assert "node 1:" in captured.err
+
+
+def test_mff_node_limit_is_reported(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(serialize_network(random_small_net(25)))  # 13 nodes cold
+    assert run_command(["mff", str(path), "--gap", "1e-9", "--node-limit", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("bound 10.250000 ") and err.endswith(" (node_limit)\n")
+
+
+def test_warm_start_chain_of_the_readme(tmp_path, capsys):
+    """im -o im.json, mff --warm-start im.json -o best.json, validate best.json."""
+    net = tmp_path / "net.json"
+    net.write_text(serialize_network(random_small_net(19)))  # IM stops short of 12
+    im, best = str(tmp_path / "im.json"), str(tmp_path / "best.json")
+    assert run_command(["im", str(net), "-o", im]) == 0
+    im_value = float(capsys.readouterr().out)
+    assert run_command(["mff", str(net), "--gap", "1e-6", "--warm-start", im, "-o", best]) == 0
+    mff_value = float(capsys.readouterr().out)
+    assert run_command(["validate", str(net), best]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert mff_value >= im_value
+    assert mff_value == pytest.approx(12.0)  # the optimum
 
 
 def test_scenario_rows_are_deterministic(workdir):
@@ -214,6 +237,39 @@ def test_bad_inputs_exit_nonzero(workdir, tmp_path):
     bogus.write_text("mpc.baseMVA = 100;\n")
     assert run_command(["convert", str(bogus)]) == 2
     assert run_command(["mpf", str(tmp_path / "missing.json")]) == 2
+
+
+_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks
+    "facts-frac": (["--facts-frac", "2"], "facts_fraction must lie in [0, 1]"),
+    "seed": (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
+    "remove-lines": (["--remove-lines", "-1"], "lines_removed must be nonnegative"),
+    "gen-factor": (["--gen-factor", "0"], "congestion factors must be positive"),
+    "interval-pct": (["--interval-pct", "-5"], "interval_pct must be nonnegative"),
+}
+_CASE_REJECTIONS = {  # the case edit and the message
+    "no-baseMVA": (("mpc.baseMVA = 100;\n", ""), "missing mpc.baseMVA"),
+    "short-bus-row": (("  2 1 0   0 0 0 1 1 0 345 1 1.1 0.9;", "  2 1;"),
+                      "line 5: bus row needs at least 3 columns"),
+    "fractional-bus-id": (("  2 1 0   0 0", "  1.5 1 0   0 0"),
+                          "line 5: bus ids must be integers"),
+}
+
+
+@pytest.mark.parametrize("rejection", [*_SCENARIO_REJECTIONS, *_CASE_REJECTIONS])
+def test_rejected_input_is_one_error_line(workdir, capsys, rejection):
+    if rejection in _SCENARIO_REJECTIONS:
+        args, message = _SCENARIO_REJECTIONS[rejection]
+        argv = ["scenario", str(workdir / "toy.json"), *args]
+    else:
+        edit, message = _CASE_REJECTIONS[rejection]
+        case = workdir / "bad.m"
+        case.write_text(CASE.replace(*edit))
+        argv = ["convert", str(case)]
+    capsys.readouterr()  # drop what the fixture's convert printed
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _unknown_bus(doc):

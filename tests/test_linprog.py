@@ -216,10 +216,8 @@ def test_unrepairable_broken_row_is_infeasible():
     assert solve_lp(lp).status == "infeasible"
 
 
-def _random_program(rng: random.Random) -> LinearProgram:
-    """A small program mixing row senses and finite, one-sided and free bounds."""
-    lp = LinearProgram()
-    n = rng.randint(2, 6)
+def _add_random_vars(lp: LinearProgram, rng: random.Random, n: int) -> None:
+    """``n`` variables with finite, one-sided or free bounds."""
     for i in range(n):
         kind = rng.choice(["finite", "finite", "lower", "upper", "free"])
         lo = float(rng.randint(-4, 1)) if kind in ("finite", "lower") else -INF
@@ -227,6 +225,13 @@ def _random_program(rng: random.Random) -> LinearProgram:
         if kind == "upper":
             hi = float(rng.randint(-1, 4))
         lp.add_var(f"v{i}", lo, hi)
+
+
+def _random_program(rng: random.Random) -> LinearProgram:
+    """A small program mixing row senses and finite, one-sided and free bounds."""
+    lp = LinearProgram()
+    n = rng.randint(2, 6)
+    _add_random_vars(lp, rng, n)
     for _ in range(rng.randint(1, 5)):
         coeffs = {j: float(rng.randint(-4, 4)) for j in rng.sample(range(n), rng.randint(1, n))}
         lp.add_constraint(coeffs, rng.choice(["<=", "=", ">="]), float(rng.randint(-6, 8)))
@@ -278,6 +283,30 @@ def test_random_programs_match_highs():
         if status == "optimal":
             assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
     assert min(seen.values()) >= 10, seen
+
+
+def test_programs_without_rows_match_highs():
+    """With no row, each column runs to the bound its cost prefers, stays at
+    its start on a zero cost, or makes the program unbounded."""
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(20261020)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(120):
+        lp = LinearProgram()
+        n = rng.randint(1, 4)
+        _add_random_vars(lp, rng, n)
+        lp.set_objective({j: float(rng.randint(-2, 2)) for j in range(n)})
+        ours = solve_lp(lp)
+        status, value = _highs(lp)
+        assert ours.status == status, lp_format(lp)
+        seen[status] += 1
+        if status == "optimal":
+            assert ours.objective == pytest.approx(value, rel=1e-9, abs=1e-9), lp_format(lp)
+            for j in range(n):
+                assert lp.lb[j] <= ours.value(j) <= lp.ub[j]
+                if lp.objective[j] == 0.0:
+                    assert ours.value(j) == min(max(0.0, lp.lb[j]), lp.ub[j])
+    assert seen["infeasible"] == 0 and min(seen["optimal"], seen["unbounded"]) >= 20, seen
 
 
 @pytest.mark.parametrize("cost", [(2.0, 1.0, -1.0), (-1.0, 0.0, 3.0), (0.0, -2.0, -1.0)])

@@ -99,6 +99,22 @@ class TestSolveMff:
         assert res.termination in ("node_limit", "optimal", "gap_reached")
         assert res.objective <= res.upper_bound + 1e-9
 
+    def test_node_limit_stops_short_with_a_valid_bound(self):
+        net = random_small_net(25)  # a cold solve takes 13 nodes
+        res = solve_mff(net, MffConfig(gap_tol=1e-9, node_limit=1))
+        assert (res.termination, res.node_count) == ("node_limit", 1)
+        assert validate_solution(net, res.solution).ok
+        assert res.upper_bound >= enumerate_signs_oracle(net).value - 1e-9
+        assert res.upper_bound == pytest.approx(10.25, abs=1e-9)
+
+    def test_time_limit_before_the_root_leaves_no_bound(self):
+        net = random_small_net(25)
+        res = solve_mff(net, MffConfig(gap_tol=1e-9, time_limit=1e-9))
+        assert (res.termination, res.node_count) == ("time_limit", 0)
+        assert res.upper_bound == math.inf
+        assert res.objective == 0.0
+        assert validate_solution(net, res.solution).ok
+
     def test_failed_node_lp_is_an_error_not_a_prune(self, tri_f, monkeypatch):
         # The all-zero point is feasible at every node, so "infeasible" can
         # only be a numerical failure; pruning on it reported 0 as optimal.
