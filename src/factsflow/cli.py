@@ -28,7 +28,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import caseio
 from .model import InputError, LdcSolution, Network, validate_solution
@@ -204,6 +203,9 @@ def _cmd_scenario(args) -> int:
         with contextlib.ExitStack() as stack:
             run = map
             if args.jobs > 1:
+                # Imported here: it adds import time and memory to every other command.
+                from concurrent.futures import ProcessPoolExecutor
+
                 run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
             for row, warning in run(trial, range(args.trials)):  # in trial order either way
                 out.write(row + "\n")

@@ -1,13 +1,23 @@
 """A small dense linear-programming solver.
 
 The solver implements the bounded-variable primal simplex method on a dense
-tableau, with a Bland anti-cycling fallback.  Every solve starts at zero:
+tableau, with a Bland anti-cycling fallback.  A cold solve starts at zero:
 each variable rests at 0 projected onto its bounds and every row's slack is
 basic, so the start basis is the identity.  A row whose slack falls outside
 its bounds at that start gets an artificial variable, and phase 1 drives
 only those artificials to zero.  When no row breaks, as for MPF, MVF and the
 MFF relaxation (whose all-zero operating point is feasible), the solve goes
 straight to phase 2.
+
+A warm solve starts instead from a given basis, typically the optimal
+:attr:`LpResult.basis` of the same program under other bounds, as in the
+MFF branch and bound, where a child pins two columns of its parent at zero.
+The tableau is refactorised on that basis, which stays dual feasible under
+tightened bounds, and a bounded-variable dual simplex (Koberstein, "The dual
+simplex method, techniques for a fast and stable implementation", PhD
+thesis, Paderborn 2005) repairs the basic columns that the new bounds put
+outside their bounds.  Phase 2 then runs as after a cold phase 1; from a
+dual feasible basis it finds nothing eligible.
 
 The tableau is stored dense, but network programs make it hypersparse: a
 pivot updates only the rows with a nonzero in the entering column and the
@@ -37,6 +47,7 @@ import numpy as np
 __all__ = [
     "LinearProgram",
     "LpResult",
+    "LpBasis",
     "LpError",
     "solve_lp",
     "lp_format",
@@ -48,6 +59,11 @@ INF = math.inf
 _FEAS_TOL = 1e-7
 #: Reduced costs at or below this magnitude do not make a column eligible.
 _COST_EPS = 1e-11
+#: A basic column further outside its bounds than this, relative to its
+#: magnitude, makes the dual simplex pivot.
+_PRIMAL_TOL = 1e-9
+#: The dual ratio test ignores entries of the pivot row at or below this.
+_DUAL_PIVOT_TOL = 1e-9
 
 # Nonbasic statuses, then basic.  ``_AT_ZERO`` is a nonbasic column resting
 # at 0 strictly between its bounds (either of which may be infinite): it may
@@ -115,11 +131,28 @@ class LinearProgram:
         return len(self.rows)
 
 
+@dataclass(frozen=True)
+class LpBasis:
+    """A simplex basis over the columns of the standard form: the program's
+    variables, then one slack per row.
+
+    ``columns[i]`` is the column basic in row ``i``; ``status`` holds every
+    column's status (resting at its lower bound, its upper bound or at zero
+    between them, or basic).  It takes O(rows + columns) integers.
+    """
+
+    columns: np.ndarray
+    status: np.ndarray
+
+
 @dataclass
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float | None
     x: np.ndarray | None
+    #: The final basis when optimal, for a warm solve of the same program;
+    #: ``None`` otherwise, or when a phase-1 artificial stayed basic.
+    basis: LpBasis | None = None
 
     def value(self, idx: int) -> float:
         assert self.x is not None
@@ -145,6 +178,13 @@ def lp_format(lp: LinearProgram) -> str:
     return "\n".join(out)
 
 
+def _rest_at_zero(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Each column's nonbasic status at 0 projected onto its bounds: on
+    ``lb`` when ``lb >= 0``, on ``ub`` when ``ub <= 0``, and otherwise at
+    zero strictly between them."""
+    return np.where(lb >= 0.0, _AT_LB, np.where(ub <= 0.0, _AT_UB, _AT_ZERO)).astype(np.int8)
+
+
 class _Tableau:
     """Simplex working state over the equality standard form.
 
@@ -154,25 +194,34 @@ class _Tableau:
     dense rank-one update applies there; every 300 pivots ``T`` is
     refactorised from ``A``.
 
-    The start basis ``basis`` must pick out the columns of ``A`` that form
-    the identity, so the start tableau is ``A`` itself and needs no
-    factorisation.  Every other column starts nonbasic at 0 projected onto
-    its bounds: on ``lb`` when ``lb >= 0``, on ``ub`` when ``ub <= 0``, and
-    otherwise at zero strictly between them.
+    Without ``stat``, the start basis ``basis`` must pick out the columns of
+    ``A`` that form the identity, so the start tableau is ``A`` itself and
+    needs no factorisation; every other column starts nonbasic at 0
+    projected onto its bounds.  With ``stat``, the given basis and statuses
+    are taken over and the tableau is factorised on them; a nonbasic status
+    that names an infinite bound, or zero where zero is not strictly between
+    the bounds, is replaced by the one at 0 projected onto the bounds.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                 basis: np.ndarray):
+                 basis: np.ndarray, stat: np.ndarray | None = None):
         self.A = A
         self.b = b
         self.lb = lb
         self.ub = ub
         self.m, self.N = A.shape
-        self.stat = np.where(lb >= 0.0, _AT_LB, np.where(ub <= 0.0, _AT_UB, _AT_ZERO)).astype(np.int8)
         self.basis = basis.copy()
-        self.stat[self.basis] = _BASIC
-        self.T = A.copy()
-        self.beta = b - A @ self._nonbasic_values()
+        if stat is None:
+            self.stat = _rest_at_zero(lb, ub)
+            self.stat[self.basis] = _BASIC
+            self.T = A.copy()
+            self.beta = b - A @ self._nonbasic_values()
+            return
+        self.stat = stat.astype(np.int8)
+        misfit = (((stat == _AT_LB) & np.isinf(lb)) | ((stat == _AT_UB) & np.isinf(ub))
+                  | ((stat == _AT_ZERO) & ((lb >= 0.0) | (ub <= 0.0))))
+        self.stat[misfit] = _rest_at_zero(lb, ub)[misfit]
+        self.refresh()
 
     def nonbasic_value(self, j: int) -> float:
         if self.stat[j] == _AT_LB:
@@ -283,8 +332,6 @@ class _Tableau:
                 t_pivot = float(ratio.min(initial=INF))
 
                 if min(t_pivot, t_flip) == INF:
-                    if abs(d[j]) <= 1e-7:
-                        continue  # a noise-level ray is not proof of unboundedness
                     if allow_unbounded:
                         return "unbounded"
                     raise LpError("unexpected unbounded direction")
@@ -355,6 +402,74 @@ class _Tableau:
                 since_refresh = 0
         raise LpError("iteration limit exceeded")
 
+    def dual_simplex(self, c: np.ndarray) -> str:
+        """Run the bounded-variable dual simplex for objective ``c`` (maximise).
+
+        The basis should be dual feasible for ``c``.  Each iteration, the
+        basic column furthest outside its bounds leaves at the bound it
+        violates.  The entering column is the one that moves the leaving
+        column towards that bound at the least ratio ``|d_j| / |alpha_rj|``
+        of reduced cost to pivot-row entry, so every reduced cost keeps its
+        sign; ties within 1e-12 go to the largest ``|alpha_rj|``.  Returns
+        "feasible" once every basic column is within its bounds, or
+        "infeasible" when no column can move a leaving row's column towards
+        its bound; raises :class:`LpError` when the iteration limit is
+        exceeded.
+        """
+        m, N = self.m, self.N
+        lb, ub, stat, basis = self.lb, self.ub, self.stat, self.basis
+        movable = (ub - lb) > 0.0
+        since_refresh = 0
+        for _ in range(200 * (m + N) + 2000):
+            T, beta = self.T, self.beta
+            below = lb[basis] - beta
+            excess = np.maximum(below, beta - ub[basis])
+            excess[excess <= _PRIMAL_TOL * np.maximum(1.0, np.abs(beta))] = 0.0
+            r = int(excess.argmax())
+            if excess[r] == 0.0:
+                return "feasible"
+            rise = bool(below[r] > 0.0)
+            leaving = int(basis[r])
+            target = lb[leaving] if rise else ub[leaving]
+
+            # The leaving column moves by -alpha_rj per unit that column j
+            # moves, so it rises with a rising j where alpha_rj < 0 and with a
+            # falling j where alpha_rj > 0, and the other way round to fall.
+            cols = T[r].nonzero()[0]
+            alpha = T[r, cols]
+            s = stat[cols]
+            at_zero = s == _AT_ZERO
+            rises = ((s == _AT_LB) & movable[cols]) | at_zero
+            falls = ((s == _AT_UB) & movable[cols]) | at_zero
+            toward = -alpha if rise else alpha
+            ok = (np.abs(alpha) > _DUAL_PIVOT_TOL) & ((rises & (toward > 0.0)) | (falls & (toward < 0.0)))
+            cols, alpha = cols[ok], alpha[ok]
+            if cols.size == 0:
+                return "infeasible"
+            d = c[cols] - c[basis] @ T[:, cols]
+            ratio = np.abs(d) / np.abs(alpha)
+            near = (ratio <= ratio.min() + 1e-12).nonzero()[0]
+            p = int(near[np.abs(alpha[near]).argmax()])
+            j = int(cols[p])
+
+            # Move column j just far enough to put the leaving column on its
+            # bound, then pivot j into row r.
+            t = (beta[r] - target) / alpha[p]
+            entering_value = self.nonbasic_value(j) + t
+            nz = T[:, j].nonzero()[0]
+            beta[nz] -= T[nz, j] * t
+            stat[leaving] = _AT_LB if rise else _AT_UB
+            self.pivot(r, j, nz[nz != r])
+            basis[r] = j
+            stat[j] = _BASIC
+            beta[r] = entering_value
+
+            since_refresh += 1
+            if since_refresh >= 300:
+                self.refresh(strict=False)
+                since_refresh = 0
+        raise LpError("iteration limit exceeded")
+
 
 def _standard_form(lp: LinearProgram,
                    bound_overrides: dict[int, tuple[float, float]] | None):
@@ -393,24 +508,38 @@ def _standard_form(lp: LinearProgram,
 
 
 def solve_lp(lp: LinearProgram,
-             bound_overrides: dict[int, tuple[float, float]] | None = None) -> LpResult:
+             bound_overrides: dict[int, tuple[float, float]] | None = None,
+             basis: LpBasis | None = None) -> LpResult:
     """Solve ``lp`` to optimality.
 
-    The solve starts from every variable at 0 projected onto its bounds, on
-    the slack basis.  Rows that this start violates get an artificial
-    variable each and a phase 1 over those artificials alone; when the start
-    violates no row, phase 2 runs at once on the ``m x (n + m)`` tableau.
+    Without ``basis``, the solve starts from every variable at 0 projected
+    onto its bounds, on the slack basis.  Rows that this start violates get
+    an artificial variable each and a phase 1 over those artificials alone;
+    when the start violates no row, phase 2 runs at once on the
+    ``m x (n + m)`` tableau.
+
+    With ``basis`` (an optimal :attr:`LpResult.basis` of ``lp``, possibly
+    under other bounds), the tableau is refactorised on it, the dual simplex
+    brings every basic column within its bounds, and phase 2 follows.  The
+    dual simplex needs a dual feasible start, which tightening bounds keeps.
 
     Returns an :class:`LpResult` whose status is ``optimal`` (with a feasible
-    assignment and objective), ``infeasible`` or ``unbounded``.  Numerical
-    breakdown raises :class:`LpError` instead of being misreported as one of
-    the three statuses.
+    assignment, objective and final basis), ``infeasible`` or ``unbounded``.
+    Numerical breakdown raises :class:`LpError` instead of being misreported
+    as one of the three statuses.
 
     ``bound_overrides`` temporarily replaces selected variable bounds without
     mutating ``lp`` (used by the branch-and-bound driver).
     """
     A, b, lb, ub, c = _standard_form(lp, bound_overrides)
     m, N = A.shape
+    if basis is not None:
+        if basis.columns.shape != (m,) or basis.status.shape != (N,):
+            raise ValueError(f"basis does not fit a program of {m} rows and {N} columns")
+        tab = _Tableau(A, b, lb, ub, basis.columns, basis.status)
+        if tab.dual_simplex(c) == "infeasible":
+            return LpResult("infeasible", None, None)
+        return _finish(tab, c, lp.num_vars)
 
     x0 = np.clip(0.0, lb, ub)
 
@@ -429,10 +558,10 @@ def solve_lp(lp: LinearProgram,
     k = broken.size
     artificials = np.zeros((m, k))
     artificials[broken, np.arange(k)] = 1.0
-    basis = np.arange(n, N)
-    basis[broken] = np.arange(N, N + k)
+    start = np.arange(n, N)
+    start[broken] = np.arange(N, N + k)
     tab = _Tableau(np.hstack([A, artificials]) if k else A, b,
-                   np.concatenate([lb, np.zeros(k)]), np.concatenate([ub, np.full(k, INF)]), basis)
+                   np.concatenate([lb, np.zeros(k)]), np.concatenate([ub, np.full(k, INF)]), start)
 
     if k:
         # Phase 1 over the broken rows only: drive their artificials to 0,
@@ -444,8 +573,18 @@ def solve_lp(lp: LinearProgram,
             return LpResult("infeasible", None, None)
         tab.lb[N:] = 0.0
         tab.ub[N:] = 0.0
+    return _finish(tab, c, n)
 
-    c2 = np.concatenate([c, np.zeros(k)])
+
+def _finish(tab: _Tableau, c: np.ndarray, n: int) -> LpResult:
+    """Phase 2 from a primal feasible basis, then the final verification.
+
+    ``c`` covers the program's ``n`` variables and its slacks; the tableau
+    may carry frozen artificials beyond them.
+    """
+    N = c.size
+    A, b, lb, ub = tab.A[:, :N], tab.b, tab.lb[:N], tab.ub[:N]
+    c2 = np.concatenate([c, np.zeros(tab.N - N)])
     status = tab.simplex(c2, allow_unbounded=True)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
@@ -476,4 +615,5 @@ def solve_lp(lp: LinearProgram,
         row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
 
     obj = float(c @ x)
-    return LpResult("optimal", obj, x[: lp.num_vars].copy())
+    final = None if bool((tab.basis >= N).any()) else LpBasis(tab.basis.copy(), tab.stat[:N].copy())
+    return LpResult("optimal", obj, x[:n].copy(), final)

@@ -31,6 +31,12 @@ its value is the best of its whole subtree, so it becomes an incumbent and
 closes the node.  Fixed lines carry no directional choice; their power law
 is the equality ``f = s * dtheta``.
 
+A child differs from its parent only in the two cone parts it pins at zero,
+so its parent's optimal basis stays dual feasible for it.  Each open node
+keeps that basis (O(rows + columns) integers, not the tableau), and both
+children start their LP from it: the dual simplex of :func:`linprog.solve_lp`
+repairs the few rows the pinning breaks.
+
 This module holds only the search.  The relaxation is written by
 :class:`formulations.NetworkLp`, and the search asks that builder which
 cone holds a line's point and what operating point a vertex stands for.
@@ -49,7 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .linprog import LpError, solve_lp
+from .linprog import LpBasis, LpError, solve_lp
 from .model import DEFAULT_TOL, InputError, LdcSolution, Network, validate_solution
 from .formulations import ConeParts, NetworkLp, solve_mvf
 
@@ -137,8 +143,8 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         incumbent_sol = warm_start
         incumbent = warm_start.value
 
-    # Nodes: (parent bound, direction bits branched on so far).
-    stack: list[tuple[float, dict[LineId, int]]] = [(math.inf, {})]
+    # Nodes: (parent bound, direction bits branched on so far, parent basis).
+    stack: list[tuple[float, dict[LineId, int], LpBasis | None]] = [(math.inf, {}, None)]
     nodes = 0
     termination = "optimal"
 
@@ -152,10 +158,10 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         if nodes and nodes % 100 == 0:
             stack.sort(key=lambda item: item[0])  # best bound explored next
 
-        _, branched = stack.pop()
+        _, branched, basis = stack.pop()
         overrides = {idx: (0.0, 0.0) for key, bit in branched.items()
                      for idx in parts[key].against(bit)}
-        res = solve_lp(builder.lp, bound_overrides=overrides)
+        res = solve_lp(builder.lp, bound_overrides=overrides, basis=basis)
         nodes += 1
         if res.status != "optimal":
             # The all-zero point is feasible at every node and the objective
@@ -199,11 +205,11 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             for bit in (1 - first, first):
                 child = dict(branched)
                 child[key] = bit
-                stack.append((bound, child))
+                stack.append((bound, child, res.basis))
 
         stack = [item for item in stack if item[0] > incumbent + 1e-9]
         if stack:
-            ub_now = max(incumbent, max(b for b, _ in stack))
+            ub_now = max(incumbent, max(item[0] for item in stack))
             if math.isfinite(ub_now) and (
                 (ub_now - incumbent) / max(1.0, abs(incumbent)) <= config.gap_tol
             ):
@@ -211,7 +217,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
                 break
 
     if stack:
-        upper = max(incumbent, max(b for b, _ in stack))
+        upper = max(incumbent, max(item[0] for item in stack))
     else:
         upper = incumbent
         termination = "optimal"

@@ -24,6 +24,7 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -98,8 +99,9 @@ class Line:
     capacity: float
     kind: LineKind = LineKind.REGULAR
 
-    @property
+    @functools.cached_property
     def key(self) -> LineId:
+        """``(a, b)``, built once: solution dicts keyed by it share the tuple."""
         return (self.a, self.b)
 
     @property

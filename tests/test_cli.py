@@ -1,7 +1,10 @@
 """The command-line front end, driven through run_command."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +184,17 @@ def test_scenario_worker_pool_matches_serial(workdir):
         return [",".join(r.split(",")[:-1]) for r in path.read_text().splitlines()]
 
     assert stable_part(serial) == stable_part(pooled)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """``concurrent.futures`` is imported only for ``scenario --jobs`` above 1."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, factsflow.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,5 +1,6 @@
 """The in-house simplex solver."""
 
+import copy
 import math
 import random
 
@@ -48,6 +49,20 @@ def test_unbounded_with_constraints_present():
     y = lp.add_var("y", 0.0, 5.0)
     lp.add_constraint({y: 1.0, x: -1.0}, "<=", 2.0)
     lp.set_objective({x: 1.0, y: 1.0})
+    assert solve_lp(lp).status == "unbounded"
+
+
+def test_tiny_cost_ray_is_unbounded():
+    """A ray is unbounded at any reduced cost that makes its column eligible.
+
+    HiGHS reads a cost up to its 1e-7 dual feasibility tolerance as zero and
+    reports this program optimal at 0, so the exact status is asserted.
+    """
+    lp = LinearProgram()
+    x = lp.add_var("x", 0.0)
+    y = lp.add_var("y", 0.0, 1.0)
+    lp.add_constraint({y: 1.0}, "<=", 1.0)
+    lp.set_objective({x: 1e-9})
     assert solve_lp(lp).status == "unbounded"
 
 
@@ -373,6 +388,105 @@ def test_degenerate_programs_match_highs():
         if status == "optimal":
             assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
     assert seen["infeasible"] == 0 and min(seen["optimal"], seen["unbounded"]) >= 20, seen
+
+
+def _tightened(lp: LinearProgram, res, rng: random.Random) -> dict[int, tuple[float, float]]:
+    """Bounds inside the old ones on 1-3 variables of ``lp``.
+
+    Each is a fixing, a raised lower bound, a lowered upper bound or a
+    narrow window, placed within 2 of the variable's value in ``res`` on
+    either side of it, so that some tightenings leave the program
+    infeasible.
+    """
+    overrides = {}
+    for j in rng.sample(range(lp.num_vars), rng.randint(1, min(3, lp.num_vars))):
+        lo, hi = lp.lb[j], lp.ub[j]
+        at = min(max(float(round(res.value(j)) + rng.randint(-2, 2)), lo), hi)
+        kind = rng.choice(["fix", "lower", "upper", "window"])
+        new_lo = lo if kind == "upper" else at
+        new_hi = {"fix": at, "upper": at, "lower": hi}.get(kind, min(hi, at + rng.randint(1, 2)))
+        overrides[j] = (new_lo, new_hi)
+    return overrides
+
+
+def test_warm_start_after_tightening_matches_highs(monkeypatch):
+    """Each program is solved cold, 1-3 of its bounds are tightened, and it
+    is solved again from the cold solve's basis.
+
+    Tightening keeps that basis dual feasible and the dual ratio test keeps
+    every reduced cost's sign, so phase 2 never pivots after the dual simplex.
+    """
+    pytest.importorskip("scipy.optimize")
+    phase2_pivots = []
+    dual_simplex, pivot = linprog._Tableau.dual_simplex, linprog._Tableau.pivot
+
+    def marking(self, c):
+        status = dual_simplex(self, c)
+        self.repaired = True
+        return status
+
+    def counting(self, r, j, rows):
+        if getattr(self, "repaired", False):
+            phase2_pivots.append(j)
+        pivot(self, r, j, rows)
+
+    monkeypatch.setattr(linprog._Tableau, "dual_simplex", marking)
+    monkeypatch.setattr(linprog._Tableau, "pivot", counting)
+    rng = random.Random(20261021)
+    seen = {"optimal": 0, "infeasible": 0, "fixed": 0, "nonbasic bound moved": 0,
+            "zero left between the bounds": 0}
+    for k in range(2000):
+        lp = _random_program(rng) if k % 2 else _degenerate_program(rng)
+        cold = solve_lp(lp)
+        if cold.basis is None:  # not optimal, or a phase-1 artificial stayed basic
+            continue
+        overrides = _tightened(lp, cold, rng)
+        warm = solve_lp(lp, bound_overrides=overrides, basis=cold.basis)
+        tight = copy.deepcopy(lp)
+        for j, (lo, hi) in overrides.items():
+            tight.lb[j], tight.ub[j] = lo, hi
+            status = cold.basis.status[j]
+            seen["fixed"] += lo == hi
+            seen["nonbasic bound moved"] += bool(
+                (status == linprog._AT_LB and lo != lp.lb[j])
+                or (status == linprog._AT_UB and hi != lp.ub[j]))
+            seen["zero left between the bounds"] += bool(
+                status == linprog._AT_ZERO and (lo >= 0.0 or hi <= 0.0))
+        expected, value = _highs(tight)
+        assert warm.status == expected, lp_format(tight)
+        seen[expected] += 1
+        if expected == "optimal":
+            assert warm.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(tight)
+    assert min(seen.values()) >= 20, seen
+    assert phase2_pivots == []
+
+
+def test_unchanged_program_resolves_from_its_basis_without_a_pivot(monkeypatch):
+    pivots = []
+    pivot = linprog._Tableau.pivot
+
+    def counting(self, r, j, rows):
+        pivots.append((r, j))
+        pivot(self, r, j, rows)
+
+    monkeypatch.setattr(linprog._Tableau, "pivot", counting)
+    rng = random.Random(20261022)
+    net = random_meshed_zero_lower(3, max_buses=60)
+    programs = [build_mff_relaxation(net)[0].lp,
+                build_mpf_program(net, midpoint_susceptances(net))[0].lp]
+    programs += [_random_program(rng) for _ in range(100)] + [_degenerate_program(rng) for _ in range(100)]
+    warm_solves = 0
+    for lp in programs:
+        cold = solve_lp(lp)
+        if cold.basis is None:
+            continue
+        del pivots[:]
+        warm = solve_lp(lp, basis=cold.basis)
+        assert pivots == [], lp_format(lp)
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+        warm_solves += 1
+    assert warm_solves >= 50
 
 
 # Network programs are hypersparse: a pivot touches a few rows and columns of
