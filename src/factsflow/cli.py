@@ -32,9 +32,9 @@ import time
 from . import caseio
 from .model import InputError, LdcSolution, Network, validate_solution
 from .linprog import LpError, lp_format
-from .formulations import build_mpf_program, solve_mpf
+from .formulations import build_mff_relaxation, build_mpf_program, solve_mpf
 from .maxflow import max_flow
-from .mip import MffConfig, build_mff_relaxation, solve_mff
+from .mip import MffConfig, solve_mff
 from .iterative import multi_start_im, solve_im, start_susceptances
 from .gadgets import ExactCoverInstance, build_choice_network, build_exact_cover_network
 

@@ -1,16 +1,17 @@
 """Network programs: one builder, and the throughput LPs built on it.
 
-:class:`NetworkLp` builds every network program (MPF and MVF here, the MFF
-relaxation in :mod:`factsflow.mip`, the lift and the alternative flow in
-:mod:`factsflow.maxflow`) and reads its vertices back as operating points.
+:class:`NetworkLp` builds every network program (MPF, the MFF relaxation
+and MVF here, the lift and the alternative flow in :mod:`factsflow.maxflow`)
+and reads its vertices back as operating points.
 
 Two linear programs are the workhorses of the whole package:
 
 * :func:`solve_mpf` — maximum power flow with every susceptance pinned to a
   given value (the classic linearised dispatch problem);
-* :func:`solve_mvf` — maximum flow when the *direction* of every angle
-  difference is pinned by a direction bit while susceptances float inside
-  their intervals.
+* :func:`solve_mvf` — maximum flow when the *direction* of every
+  controllable line is pinned by a bit while susceptances float inside
+  their intervals: the MFF relaxation (:func:`build_mff_relaxation`) with
+  each line's opposite cone parts pinned at zero.  Fixed lines take no bit.
 
 Both never come back infeasible: the all-zero operating point satisfies any
 choice of directions.  Alongside them live the glue utilities that move
@@ -37,6 +38,7 @@ __all__ = [
     "ConeParts",
     "NetworkLp",
     "UNBOUNDED_S_CAP",
+    "build_mff_relaxation",
     "solve_mpf",
     "solve_mvf",
     "extract_signs",
@@ -109,23 +111,19 @@ class NetworkLp:
             self.flow[ln.key] = self.lp.add_var(
                 f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity
             )
-        #: Each direction line's ``theta[b] - theta[a]`` over its angle parts.
-        self.angle: dict[LineId, dict[int, float]] = {}
+        #: The cone parts of each controllable line.
+        self.parts: dict[LineId, ConeParts] = {}
 
-    def add_power_law(self, ln: Line, s: float | None = None,
-                      bit: int | None = None) -> tuple[int, ...]:
-        """Write line ``ln``'s power law; return the direction variables added.
+    def add_power_law(self, ln: Line, s: float | None = None) -> None:
+        """Write line ``ln``'s power law.
 
         * ``s`` given: the fixed line ``f = s * dtheta``, an equality with
           no direction variable;
-        * ``bit`` given: the direction is pinned (MVF), through one angle
-          part ``delta = sgn * dtheta >= 0``;
-        * neither: the cone-sum relaxation of both directions (MFF), through
-          the parts ``(dplus, dminus, fplus, fminus)`` with
-          ``dplus - dminus = dtheta`` and ``f = fplus - fminus``.
-
-        Each direction case is the cone ``s_min * delta <= sgn * f <= s_hi *
-        delta`` with ``s_hi`` from :func:`_cone_ceiling`.
+        * otherwise: the cone-sum relaxation of both directions, through the
+          parts ``(dplus, dminus, fplus, fminus)`` with ``dplus - dminus =
+          dtheta``, ``f = fplus - fminus`` and each direction's cone
+          ``s_min * d_part <= f_part <= s_hi * d_part`` (``s_hi`` from
+          :func:`_cone_ceiling`).
         """
         lp = self.lp
         f = self.flow[ln.key]
@@ -136,32 +134,22 @@ class NetworkLp:
                 lp.add_constraint({f: 1.0 / s, tb: -1.0, ta: 1.0}, "=", 0.0)
             else:
                 lp.add_constraint({f: 1.0, tb: -s, ta: s}, "=", 0.0)
-            return ()
+            return
         s_hi = _cone_ceiling(ln)
 
-        def cone(delta: int, flow: int, sgn: float) -> None:
+        def cone(delta: int, flow: int) -> None:
             # The upper half is written as delta >= f / s_hi for benign scaling.
-            lp.add_constraint({flow: sgn, delta: -ln.s_min}, ">=", 0.0)
-            lp.add_constraint({delta: 1.0, flow: -sgn / s_hi}, ">=", 0.0)
+            lp.add_constraint({flow: 1.0, delta: -ln.s_min}, ">=", 0.0)
+            lp.add_constraint({delta: 1.0, flow: -1.0 / s_hi}, ">=", 0.0)
 
-        if bit is not None:
-            if bit not in (0, 1):
-                raise InputError(f"bad direction bit {bit!r} for line {tag}")
-            sgn = 1.0 if bit == 1 else -1.0
-            delta = lp.add_var(f"delta[{tag}]", 0.0, math.inf)
-            lp.add_constraint({tb: sgn, ta: -sgn, delta: -1.0}, "=", 0.0)
-            cone(delta, f, sgn)
-            self.angle[ln.key] = {delta: sgn}
-            return (delta,)
         parts = ConeParts(*(lp.add_var(f"{name}[{tag}]", 0.0, math.inf)
                             for name in ConeParts._fields))
         lp.add_constraint({parts.dplus: 1.0, parts.dminus: -1.0, tb: -1.0, ta: 1.0},
                           "=", 0.0)
-        cone(parts.dplus, parts.fplus, 1.0)
-        cone(parts.dminus, parts.fminus, 1.0)
+        cone(parts.dplus, parts.fplus)
+        cone(parts.dminus, parts.fminus)
         lp.add_constraint({f: 1.0, parts.fplus: -1.0, parts.fminus: 1.0}, "=", 0.0)
-        self.angle[ln.key] = {parts.dplus: 1.0, parts.dminus: -1.0}
-        return parts
+        self.parts[ln.key] = parts
 
     def add_balance_rows(self) -> None:
         per_bus: dict[str, dict[int, float]] = {b.id: {} for b in self.net.buses}
@@ -182,7 +170,8 @@ class NetworkLp:
 
     def _dtheta(self, ln: Line, x) -> float:
         """Line ``ln``'s angle difference at ``x``, from its own angle parts."""
-        return sum(c * float(x[i]) for i, c in self.angle[ln.key].items())
+        p = self.parts[ln.key]
+        return float(x[p.dplus]) - float(x[p.dminus])
 
     def cone_bit(self, ln: Line, x) -> int | None:
         """The direction whose cone holds line ``ln``'s point at ``x``, bit 1
@@ -275,46 +264,59 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> LdcSolut
     return builder.extract(res.x, pinned)
 
 
+def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConeParts]]:
+    """The cone-sum relaxation that every branch-and-bound node and every
+    MVF solves.
+
+    Returns the program's builder and the cone parts of each controllable
+    line.
+    """
+    builder = NetworkLp(net)
+    for ln in net.lines:
+        builder.add_power_law(ln, s=None if ln.is_facts else ln.s_min)
+    builder.add_balance_rows()
+    builder.set_throughput_objective()
+    return builder, builder.parts
+
+
 def solve_mvf(net: Network, bits: Mapping[LineId, int],
               pinned_flows: Mapping[LineId, float] | None = None) -> LdcSolution | None:
     """Maximum throughput with angle-difference directions pinned by ``bits``.
 
-    Bit 1 on line ``(a, b)`` means ``theta[b] - theta[a] >= 0``, bit 0 means
-    ``<= 0``.  Susceptances float inside their intervals.  Lines without a
-    bit must be fixed lines; their power law is enforced directly with no
-    direction choice.  Intervals unbounded above are treated as ``[s_min,
-    UNBOUNDED_S_CAP]`` so every vertex maps back to finite susceptances (see
-    the constant's note).  ``pinned_flows`` forces selected line flows to
-    exact values (used by verification sweeps); only then can the program be
+    Bit 1 on controllable line ``(a, b)`` means ``theta[b] - theta[a] >=
+    0``, bit 0 means ``<= 0``; every controllable line needs one.  Fixed
+    lines take no bit (their power law is an equality, so a bit given for
+    one is ignored).  The program is the MFF relaxation
+    (:func:`build_mff_relaxation`) with each line's opposite cone parts
+    pinned at zero, so susceptances float inside their intervals, with
+    ``UNBOUNDED_S_CAP`` standing in for an infinite ``s_max`` (see the
+    constant's note).  ``pinned_flows`` fixes selected line flows at exact
+    values (used by verification sweeps); only then can the program be
     infeasible, which is reported as ``None`` rather than an error.  A
     vertex with flow across a vanishing angle part maps back to no
     susceptance and raises :class:`LpError`.
     """
-    builder = NetworkLp(net)
+    builder, parts = build_mff_relaxation(net)
     lp = builder.lp
-    for ln in net.lines:
-        bit = bits.get(ln.key)
-        if bit is None:
-            if ln.is_facts:
-                raise InputError(
-                    f"controllable line {ln.a}-{ln.b} lacks a direction bit"
-                )
-            builder.add_power_law(ln, s=ln.s_min)
-        else:
-            builder.add_power_law(ln, bit=bit)
-    if pinned_flows:
-        for key, value in pinned_flows.items():
-            if key not in builder.flow:
-                raise InputError(f"pinned flow references unknown line {key!r}")
-            lp.add_constraint({builder.flow[key]: 1.0}, "=", float(value))
-    builder.add_balance_rows()
-    builder.set_throughput_objective()
-    res = solve_lp(lp)
+    overrides: dict[int, tuple[float, float]] = {}
+    for key, p in parts.items():
+        bit = bits.get(key)
+        if bit not in (0, 1):
+            raise InputError(f"controllable line {key[0]}-{key[1]} needs direction bit 0 or 1, "
+                             f"not {bit!r}")
+        overrides.update(dict.fromkeys(p.against(bit), (0.0, 0.0)))
+    for key, value in (pinned_flows or {}).items():
+        if key not in builder.flow:
+            raise InputError(f"pinned flow references unknown line {key!r}")
+        overrides[builder.flow[key]] = (float(value), float(value))
+    if any(not lp.lb[j] <= lo <= lp.ub[j] for j, (lo, _) in overrides.items()):
+        return None  # a pin beyond its line's capacity, which the override replaces
+    res = solve_lp(lp, overrides)
     if res.status == "infeasible" and pinned_flows:
         return None
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
-    sol = builder.solution(res.x, bits)
+    sol = builder.solution(res.x, {key: bits[key] for key in parts})
     if sol is None:
         raise LpError("fixed-direction vertex has flow across a vanishing angle difference")
     return sol

@@ -2,11 +2,13 @@
 
 One round solves the fixed-susceptance LP, reads the direction of every
 angle difference off its solution, then solves the fixed-direction LP to let
-the susceptances move.  Each phase's optimum is feasible for the next phase,
-so the objective sequence never decreases; the loop stops as soon as the
-direction phase fails to improve on the susceptance phase.  The result is a
-feasible operating point and therefore a lower bound for the exact solver,
-which it can warm start.
+the susceptances move: the MFF relaxation with each controllable line's
+opposite cone parts pinned at zero (:func:`formulations.solve_mvf`), where
+fixed lines take no bit.  Each phase's optimum is feasible for the next
+phase, so the objective sequence never decreases; the loop stops as soon as
+the direction phase fails to improve on the susceptance phase.  The result
+is a feasible operating point and therefore a lower bound for the exact
+solver, which it can warm start.
 
 The three-start variant runs the loop from the interval lower bounds, upper
 bounds and midpoints, returning the best of the three.

@@ -37,13 +37,16 @@ keeps that basis (O(rows + columns) integers, not the tableau), and both
 children start their LP from it: the dual simplex of :func:`linprog.solve_lp`
 repairs the few rows the pinning breaks.
 
-This module holds only the search.  The relaxation is written by
-:class:`formulations.NetworkLp`, and the search asks that builder which
-cone holds a line's point and what operating point a vertex stands for.
+This module holds only the search.  The relaxation is built by
+:func:`formulations.build_mff_relaxation`, and the search asks its builder
+which cone holds a line's point and what operating point a vertex stands
+for.  MVF (:func:`formulations.solve_mvf`) is a leaf of this search: the
+relaxation with the opposite cone parts of every controllable line pinned
+at zero.  Fixed lines take no bit.
 
-A brute-force reference — enumerate every direction assignment of the
-controllable lines and take the best fixed-direction LP — is provided for
-small instances as :func:`enumerate_signs_oracle`.
+A brute-force reference — the best MVF over every direction assignment of
+the controllable lines — is provided for small instances as
+:func:`enumerate_signs_oracle`.  It solves the search's own program.
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ from typing import Mapping
 
 from .linprog import LpBasis, LpError, solve_lp
 from .model import DEFAULT_TOL, InputError, LdcSolution, Network, validate_solution
-from .formulations import ConeParts, NetworkLp, solve_mvf
+from .formulations import build_mff_relaxation, solve_mvf
 
 __all__ = [
     "MffConfig",
     "MffResult",
-    "build_mff_relaxation",
     "solve_mff",
     "enumerate_signs_oracle",
 ]
@@ -91,24 +93,6 @@ class MffResult:
     #: Always ``False``: the cone-sum model has no big-M to retry.  Kept only
     #: because the benchmark's tracer (``bench/tracing.py``) still reads it.
     big_m_retried: bool = False
-
-
-def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConeParts]]:
-    """The cone-sum relaxation that every branch-and-bound node solves.
-
-    Returns the program's builder and the cone parts of each controllable
-    line.
-    """
-    builder = NetworkLp(net)
-    parts: dict[LineId, ConeParts] = {}
-    for ln in net.lines:
-        if ln.is_facts:
-            parts[ln.key] = builder.add_power_law(ln)
-        else:
-            builder.add_power_law(ln, s=ln.s_min)
-    builder.add_balance_rows()
-    builder.set_throughput_objective()
-    return builder, parts
 
 
 def solve_mff(net: Network, config: MffConfig | None = None,

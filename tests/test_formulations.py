@@ -1,5 +1,6 @@
 """Fixed-susceptance and fixed-direction programs plus direction utilities."""
 
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from factsflow.model import (
     validate_solution,
 )
 from factsflow.formulations import (
+    UNBOUNDED_S_CAP,
     directed_susceptance,
     extract_signs,
     midpoint_susceptances,
@@ -22,7 +24,7 @@ from factsflow.formulations import (
 from factsflow.maxflow import max_flow
 from factsflow.mip import enumerate_signs_oracle
 
-from conftest import random_small_net
+from conftest import random_small_net, random_unbounded_upper
 
 
 class TestSolveMpf:
@@ -69,7 +71,7 @@ class TestSolveMvf:
     def test_conflicting_directions_force_zero(self):
         net = Network(
             buses=(Bus("g", BusKind.GENERATOR), Bus("a"), Bus("l", BusKind.LOAD)),
-            lines=(Line("g", "a", 1, 1, 5.0), Line("a", "l", 1, 1, 5.0)),
+            lines=(Line("g", "a", 1, 2, 5.0), Line("a", "l", 1, 2, 5.0)),
         )
         result = solve_mvf(net, {("g", "a"): 1, ("a", "l"): 0})
         assert result.value == pytest.approx(0.0, abs=1e-9)
@@ -78,13 +80,108 @@ class TestSolveMvf:
         with pytest.raises(InputError):
             solve_mvf(tri_f, {("g", "b"): 1, ("b", "l"): 1})
 
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_bad_bit_on_facts_line_rejected(self, tri_f, bit):
+        with pytest.raises(InputError):
+            solve_mvf(tri_f, {("g", "l"): bit})
+
     def test_fixed_lines_may_omit_bits(self, tri_f):
         result = solve_mvf(tri_f, {("g", "l"): 1})
         assert result.value == pytest.approx(14.0, abs=1e-6)
 
+    def test_bits_on_fixed_lines_are_ignored(self):
+        for seed in range(20):
+            net = random_small_net(seed)
+            facts = {ln.key for ln in net.facts_lines()}
+            pattern = extract_signs(net, solve_mpf(net, midpoint_susceptances(net)).theta)
+            flipped = {key: bit if key in facts else 1 - bit for key, bit in pattern.items()}
+            assert solve_mvf(net, flipped).value == solve_mvf(net, pattern).value
+
     def test_infeasible_pin_reports_none(self, single_line):
         assert solve_mvf(single_line, {("g", "l"): 1},
                          pinned_flows={("g", "l"): 99.0}) is None
+
+    def test_pin_on_unknown_line_rejected(self, single_line):
+        with pytest.raises(InputError):
+            solve_mvf(single_line, {}, pinned_flows={("l", "g"): 1.0})
+
+
+def _highs_mvf(net: Network, bits) -> float:
+    """MVF written straight from ``net`` and solved by scipy's HiGHS.
+
+    Variables: an angle per bus, a flow per line, generation and load per
+    generator and load bus, and per controllable line an angle part ``d =
+    sgn * (theta[b] - theta[a]) >= 0`` with ``sgn`` +1 for bit 1 and -1 for
+    bit 0.  A fixed line keeps ``f = s_min * (theta[b] - theta[a])``; a
+    controllable one gets ``s_min * d <= sgn * f <= s_hi * d``, with
+    ``UNBOUNDED_S_CAP`` for ``s_hi`` on an interval unbounded above.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    theta = {b.id: j for j, b in enumerate(net.buses)}
+    bounds = [(None, None)] * len(theta)
+
+    def var(lo, hi):
+        bounds.append((lo, hi))
+        return len(bounds) - 1
+
+    flow = {ln.key: var(-ln.capacity, ln.capacity) for ln in net.lines}
+    gen = {b.id: var(0, None) for b in net.buses if b.kind is BusKind.GENERATOR}
+    load = {b.id: var(0, None) for b in net.buses if b.kind is BusKind.LOAD}
+    eq = [{} for _ in net.buses]  # bus balance: outflow - gen + load = 0
+    for b in net.buses:
+        eq[theta[b.id]].update({gen[b.id]: -1.0} if b.id in gen else {})
+        eq[theta[b.id]].update({load[b.id]: 1.0} if b.id in load else {})
+    le = []
+    for ln in net.lines:
+        f, ta, tb = flow[ln.key], theta[ln.a], theta[ln.b]
+        eq[ta][f] = eq[ta].get(f, 0.0) + 1.0
+        eq[tb][f] = eq[tb].get(f, 0.0) - 1.0
+        if not ln.is_facts:
+            eq.append({f: 1.0, tb: -ln.s_min, ta: ln.s_min})
+            continue
+        sgn = 1.0 if bits[ln.key] == 1 else -1.0
+        s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
+        d = var(0, None)
+        eq.append({d: 1.0, tb: -sgn, ta: sgn})
+        le.append({d: ln.s_min, f: -sgn})
+        le.append({f: sgn, d: -s_hi})
+
+    def dense(rows):
+        out = np.zeros((len(rows), len(bounds)))
+        for r, row in enumerate(rows):
+            for j, c in row.items():
+                out[r, j] += c
+        return out
+
+    cost = np.zeros(len(bounds))
+    cost[list(gen.values())] = -1.0
+    res = linprog(cost, A_ub=dense(le) if le else None, b_ub=np.zeros(len(le)) if le else None,
+                  A_eq=dense(eq), b_eq=np.zeros(len(eq)), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+class TestMvfMatchesHighs:
+    """Every direction pattern, against a program that shares no code with
+    ``solve_mvf``.  The unbounded-upper nets put ``UNBOUNDED_S_CAP`` in every
+    cone; they are kept to 6 buses so that all their patterns can be solved."""
+
+    @pytest.mark.parametrize("family, seed", [("small", seed) for seed in range(25)]
+                             + [("unbounded_upper", seed) for seed in range(10)])
+    def test_every_pattern(self, family, seed):
+        pytest.importorskip("scipy.optimize")
+        if family == "small":
+            net = random_small_net(seed)
+        else:
+            net = random_unbounded_upper(seed, max_buses=6)
+        keys = [ln.key for ln in net.facts_lines()]
+        for combo in itertools.product((0, 1), repeat=len(keys)):
+            bits = dict(zip(keys, combo))
+            ours = solve_mvf(net, bits)
+            assert ours.value == pytest.approx(_highs_mvf(net, bits), rel=1e-7, abs=1e-7)
+            assert validate_solution(net, ours).ok
 
 
 class TestExtractSigns:

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from factsflow import formulations, linprog
-from factsflow.formulations import build_mpf_program, extract_signs, midpoint_susceptances, solve_mpf
+from factsflow.formulations import (
+    build_mff_relaxation,
+    build_mpf_program,
+    extract_signs,
+    midpoint_susceptances,
+    solve_mpf,
+)
 from factsflow.linprog import LinearProgram, LpError, lp_format, solve_lp
-from factsflow.mip import build_mff_relaxation
 
 from conftest import random_meshed_zero_lower
 
@@ -254,8 +259,8 @@ def _random_program(rng: random.Random) -> LinearProgram:
     return lp
 
 
-def _highs(lp: LinearProgram) -> tuple[str, float | None]:
-    """Status and maximum of ``lp`` by scipy's HiGHS."""
+def _highs(lp: LinearProgram, bound_overrides=None) -> tuple[str, float | None]:
+    """Status and maximum of ``lp``, with ``bound_overrides`` applied, by scipy's HiGHS."""
     import numpy as np
     from scipy.optimize import linprog
 
@@ -278,7 +283,8 @@ def _highs(lp: LinearProgram) -> tuple[str, float | None]:
         A_eq=dense[~ub_rows] if (~ub_rows).any() else None,
         b_eq=rhs[~ub_rows] if (~ub_rows).any() else None,
         bounds=[(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
-                for lo, hi in zip(lp.lb, lp.ub)],
+                for lo, hi in ((bound_overrides or {}).get(j, (lp.lb[j], lp.ub[j]))
+                               for j in range(n))],
         method="highs",
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
@@ -533,7 +539,8 @@ def test_sparse_pivot_matches_the_dense_update(monkeypatch, seed, program):
 
 
 def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
-    """Pinned flows break their rows at zero, so this program runs phase 1."""
+    """Pinned flows are nonzero fixed bounds that break rows at zero, so this
+    program runs phase 1."""
     pytest.importorskip("scipy.optimize")
     net = random_meshed_zero_lower(2, max_buses=120)
     mpf = solve_mpf(net, midpoint_susceptances(net))
@@ -544,13 +551,13 @@ def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
     solved = []
 
     def recording(lp, bound_overrides=None):
-        solved.append((lp, solve_lp(lp, bound_overrides)))
-        return solved[-1][1]
+        solved.append((lp, bound_overrides, solve_lp(lp, bound_overrides)))
+        return solved[-1][2]
 
     monkeypatch.setattr(formulations, "solve_lp", recording)
     assert formulations.solve_mvf(net, extract_signs(net, mpf.theta), pinned_flows=pinned)
-    ((lp, ours),) = solved
-    assert any(sense == "=" and rhs != 0.0 for sense, rhs in zip(lp.senses, lp.rhs))
-    status, value = _highs(lp)
+    ((lp, overrides, ours),) = solved
+    assert any(lo == hi != 0.0 for lo, hi in overrides.values())
+    status, value = _highs(lp, overrides)
     assert (ours.status, status) == ("optimal", "optimal")
     assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)

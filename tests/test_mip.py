@@ -6,14 +6,9 @@ import pytest
 
 from factsflow.model import Bus, BusKind, InputError, Line, Network, validate_solution
 from factsflow.linprog import LpError, LpResult, solve_lp
-from factsflow.mip import (
-    MffConfig,
-    build_mff_relaxation,
-    enumerate_signs_oracle,
-    solve_mff,
-)
+from factsflow.mip import MffConfig, enumerate_signs_oracle, solve_mff
 from factsflow.maxflow import max_flow
-from factsflow.formulations import solve_mpf, midpoint_susceptances
+from factsflow.formulations import build_mff_relaxation, solve_mpf, midpoint_susceptances
 
 from conftest import (
     random_partly_unbounded,
