@@ -135,6 +135,8 @@ def _strip_comment(line: str) -> str:
 
 
 def _fmt_id(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("bus ids must be finite")
     i = int(value)
     if i != value:
         raise ValueError("bus ids must be integers")
@@ -208,24 +210,28 @@ def parse_case(text: str) -> RawCase:
             raise CaseParseError("bus row needs at least 3 columns", line_no)
         try:
             buses.append(RawBus(id=_fmt_id(row[0]), btype=int(row[1]), pd=row[2]))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CaseParseError(str(exc), line_no) from None
     gens = []
     for line_no, row in sections["gen"]:
         if len(row) < 9:
             raise CaseParseError("gen row needs at least 9 columns", line_no)
-        gens.append(RawGen(bus=_fmt_id(row[0]), pmax=row[8]))
+        try:
+            gens.append(RawGen(bus=_fmt_id(row[0]), pmax=row[8]))
+        except ValueError as exc:
+            raise CaseParseError(str(exc), line_no) from None
     branches = []
     for line_no, row in sections["branch"]:
         if len(row) < 11:
             raise CaseParseError("branch row needs at least 11 columns", line_no)
-        status = int(row[10])
+        try:
+            ends = _fmt_id(row[0]), _fmt_id(row[1])
+            status = int(row[10])
+        except (ValueError, OverflowError) as exc:
+            raise CaseParseError(str(exc), line_no) from None
         if status != 0 and row[3] == 0.0:
             raise CaseParseError("in-service branch has zero reactance", line_no)
-        branches.append(
-            RawBranch(from_bus=_fmt_id(row[0]), to_bus=_fmt_id(row[1]),
-                      x=row[3], rating=row[5], status=status)
-        )
+        branches.append(RawBranch(*ends, x=row[3], rating=row[5], status=status))
     return RawCase(base_mva=base_mva, buses=tuple(buses), gens=tuple(gens),
                    branches=tuple(branches))
 

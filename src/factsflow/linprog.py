@@ -1,23 +1,27 @@
 """A small dense linear-programming solver.
 
-The solver implements the bounded-variable primal simplex method on a dense
-tableau, with a Bland anti-cycling fallback.  A cold solve starts at zero:
-each variable rests at 0 projected onto its bounds and every row's slack is
-basic, so the start basis is the identity.  A row whose slack falls outside
-its bounds at that start gets an artificial variable, and phase 1 drives
-only those artificials to zero.  When no row breaks, as for MPF, MVF and the
-MFF relaxation (whose all-zero operating point is feasible), the solve goes
-straight to phase 2.
+The solver implements the bounded-variable simplex method on a dense
+tableau: a dual simplex (Koberstein, "The dual simplex method, techniques
+for a fast and stable implementation", PhD thesis, Paderborn 2005) reaches a
+feasible basis, and a primal simplex with a Bland anti-cycling fallback
+then reaches an optimal one.
+
+A cold solve starts at zero: each variable rests at 0 projected onto its
+bounds and every row's slack is basic, so the start basis is the identity.
+Every basis is dual feasible for zero costs, so the dual simplex run with
+zero costs is a primal phase 1 (Maros, "Computational techniques of the
+simplex method", 2003): it pivots only while some slack lies outside its
+bounds.  When no row breaks at zero, as for MPF, MVF and the MFF relaxation
+(whose all-zero operating point is feasible), it stops at once.
 
 A warm solve starts instead from a given basis, typically the optimal
 :attr:`LpResult.basis` of the same program under other bounds, as in the
 MFF branch and bound, where a child pins two columns of its parent at zero.
 The tableau is refactorised on that basis, which stays dual feasible under
-tightened bounds, and a bounded-variable dual simplex (Koberstein, "The dual
-simplex method, techniques for a fast and stable implementation", PhD
-thesis, Paderborn 2005) repairs the basic columns that the new bounds put
-outside their bounds.  Phase 2 then runs as after a cold phase 1; from a
-dual feasible basis it finds nothing eligible.
+tightened bounds, and the dual simplex runs with the program's costs,
+repairing the basic columns that the new bounds put outside their bounds.
+Either way, primal phase 2 follows; from a dual feasible basis it finds
+nothing eligible.
 
 The tableau is stored dense, but network programs make it hypersparse: a
 pivot updates only the rows with a nonzero in the entering column and the
@@ -31,10 +35,10 @@ Variables carry individual bounds which may be infinite on either side;
 constraints are linear expressions compared to a right-hand side with one of
 ``<=``, ``=``, ``>=``.  The objective is always maximised.
 
-Feasibility is judged at one fixed tolerance, 1e-7: phase 1 declares a
-program infeasible when its artificials sum above it, and the final check
-accepts a row or bound violation up to it, relative to the magnitude of the
-terms involved.
+The dual simplex treats a basic column as feasible within 1e-9 of its
+bounds, relative to its magnitude.  The final check on an optimal solution
+accepts a row or bound violation up to 1e-7, relative to the magnitude of
+the terms involved.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ __all__ = [
 
 INF = math.inf
 
-#: Feasibility tolerance of phase 1 and of the final verification.
+#: Feasibility tolerance of the final verification of an optimal solution.
 _FEAS_TOL = 1e-7
 #: Reduced costs at or below this magnitude do not make a column eligible.
 _COST_EPS = 1e-11
@@ -151,7 +155,7 @@ class LpResult:
     objective: float | None
     x: np.ndarray | None
     #: The final basis when optimal, for a warm solve of the same program;
-    #: ``None`` otherwise, or when a phase-1 artificial stayed basic.
+    #: ``None`` otherwise.
     basis: LpBasis | None = None
 
     def value(self, idx: int) -> float:
@@ -194,29 +198,32 @@ class _Tableau:
     dense rank-one update applies there; every 300 pivots ``T`` is
     refactorised from ``A``.
 
-    Without ``stat``, the start basis ``basis`` must pick out the columns of
-    ``A`` that form the identity, so the start tableau is ``A`` itself and
+    ``A`` is the ``m x (n + m)`` standard form: the program's ``n``
+    columns, then one slack per row.  Without ``start``, the slacks, which
+    form the identity, are basic, so the start tableau is ``A`` itself and
     needs no factorisation; every other column starts nonbasic at 0
-    projected onto its bounds.  With ``stat``, the given basis and statuses
-    are taken over and the tableau is factorised on them; a nonbasic status
+    projected onto its bounds.  With ``start``, its basis and statuses are
+    taken over and the tableau is factorised on them; a nonbasic status
     that names an infinite bound, or zero where zero is not strictly between
     the bounds, is replaced by the one at 0 projected onto the bounds.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                 basis: np.ndarray, stat: np.ndarray | None = None):
+                 start: LpBasis | None = None):
         self.A = A
         self.b = b
         self.lb = lb
         self.ub = ub
         self.m, self.N = A.shape
-        self.basis = basis.copy()
-        if stat is None:
+        if start is None:
+            self.basis = np.arange(self.N - self.m, self.N)
             self.stat = _rest_at_zero(lb, ub)
             self.stat[self.basis] = _BASIC
             self.T = A.copy()
             self.beta = b - A @ self._nonbasic_values()
             return
+        self.basis = start.columns.copy()
+        stat = start.status
         self.stat = stat.astype(np.int8)
         misfit = (((stat == _AT_LB) & np.isinf(lb)) | ((stat == _AT_UB) & np.isinf(ub))
                   | ((stat == _AT_ZERO) & ((lb >= 0.0) | (ub <= 0.0))))
@@ -265,7 +272,7 @@ class _Tableau:
         block = (rows[:, None] * self.N + cols).ravel()  # flat indices; T is C-ordered
         T.reshape(-1)[block] -= (T[rows, j][:, None] * pivot_row[cols]).ravel()
 
-    def simplex(self, c: np.ndarray, *, allow_unbounded: bool) -> str:
+    def simplex(self, c: np.ndarray) -> str:
         """Run primal simplex for objective ``c`` (maximise).
 
         Entering candidates are tried in decreasing reduced-cost order;
@@ -332,9 +339,7 @@ class _Tableau:
                 t_pivot = float(ratio.min(initial=INF))
 
                 if min(t_pivot, t_flip) == INF:
-                    if allow_unbounded:
-                        return "unbounded"
-                    raise LpError("unexpected unbounded direction")
+                    return "unbounded"
 
                 if t_flip <= t_pivot:
                     # Bound flip: the entering variable runs to the bound it
@@ -415,6 +420,10 @@ class _Tableau:
         "infeasible" when no column can move a leaving row's column towards
         its bound; raises :class:`LpError` when the iteration limit is
         exceeded.
+
+        Every basis is dual feasible for zero costs, with which a cold solve
+        runs this as its phase 1: every ratio is then 0, so the largest
+        ``|alpha_rj|`` enters.
         """
         m, N = self.m, self.N
         lb, ub, stat, basis = self.lb, self.ub, self.stat, self.basis
@@ -425,9 +434,9 @@ class _Tableau:
             below = lb[basis] - beta
             excess = np.maximum(below, beta - ub[basis])
             excess[excess <= _PRIMAL_TOL * np.maximum(1.0, np.abs(beta))] = 0.0
-            r = int(excess.argmax())
-            if excess[r] == 0.0:
+            if not excess.any():  # also a program without rows
                 return "feasible"
+            r = int(excess.argmax())
             rise = bool(below[r] > 0.0)
             leaving = int(basis[r])
             target = lb[leaving] if rise else ub[leaving]
@@ -513,15 +522,16 @@ def solve_lp(lp: LinearProgram,
     """Solve ``lp`` to optimality.
 
     Without ``basis``, the solve starts from every variable at 0 projected
-    onto its bounds, on the slack basis.  Rows that this start violates get
-    an artificial variable each and a phase 1 over those artificials alone;
-    when the start violates no row, phase 2 runs at once on the
-    ``m x (n + m)`` tableau.
+    onto its bounds, on the slack basis of the ``m x (n + m)`` tableau, and
+    the dual simplex with zero costs (a primal phase 1) brings every basic
+    column within its bounds.  When the start violates no row, it stops at once.
 
     With ``basis`` (an optimal :attr:`LpResult.basis` of ``lp``, possibly
-    under other bounds), the tableau is refactorised on it, the dual simplex
-    brings every basic column within its bounds, and phase 2 follows.  The
-    dual simplex needs a dual feasible start, which tightening bounds keeps.
+    under other bounds), the tableau is refactorised on it and the dual
+    simplex runs with the program's costs.  It needs a dual feasible start,
+    which tightening bounds keeps.
+
+    Either way, primal phase 2 follows from the feasible basis.
 
     Returns an :class:`LpResult` whose status is ``optimal`` (with a feasible
     assignment, objective and final basis), ``infeasible`` or ``unbounded``.
@@ -533,68 +543,27 @@ def solve_lp(lp: LinearProgram,
     """
     A, b, lb, ub, c = _standard_form(lp, bound_overrides)
     m, N = A.shape
-    if basis is not None:
-        if basis.columns.shape != (m,) or basis.status.shape != (N,):
-            raise ValueError(f"basis does not fit a program of {m} rows and {N} columns")
-        tab = _Tableau(A, b, lb, ub, basis.columns, basis.status)
-        if tab.dual_simplex(c) == "infeasible":
-            return LpResult("infeasible", None, None)
-        return _finish(tab, c, lp.num_vars)
-
-    x0 = np.clip(0.0, lb, ub)
-
-    # Start on the slack basis with every variable at x0, so each slack holds
-    # its row's residual.  A row whose residual lies outside its slack's
-    # bounds breaks the start: its slack rests at 0 (the bound nearest the
-    # residual) and an artificial column takes the residual instead.  Such a
-    # row is negated where its residual is negative, so that the artificial
-    # starts nonnegative and the start basis stays the identity.
-    n = lp.num_vars
-    resid = b - A @ x0
-    broken = np.nonzero((resid < lb[n:]) | (resid > ub[n:]))[0]
-    negate = broken[resid[broken] < 0.0]
-    A[negate] *= -1.0
-    b[negate] *= -1.0
-    k = broken.size
-    artificials = np.zeros((m, k))
-    artificials[broken, np.arange(k)] = 1.0
-    start = np.arange(n, N)
-    start[broken] = np.arange(N, N + k)
-    tab = _Tableau(np.hstack([A, artificials]) if k else A, b,
-                   np.concatenate([lb, np.zeros(k)]), np.concatenate([ub, np.full(k, INF)]), start)
-
-    if k:
-        # Phase 1 over the broken rows only: drive their artificials to 0,
-        # then freeze them there.
-        c1 = np.zeros(N + k)
-        c1[N:] = -1.0
-        tab.simplex(c1, allow_unbounded=False)
-        if float(np.sum(np.abs(tab.values()[N:]))) > _FEAS_TOL:
-            return LpResult("infeasible", None, None)
-        tab.lb[N:] = 0.0
-        tab.ub[N:] = 0.0
-    return _finish(tab, c, n)
+    if basis is not None and (basis.columns.shape != (m,) or basis.status.shape != (N,)):
+        raise ValueError(f"basis does not fit a program of {m} rows and {N} columns")
+    tab = _Tableau(A, b, lb, ub, basis)
+    # Every basis is dual feasible for zero costs, so from the slack basis
+    # the dual simplex is a primal phase 1.
+    if tab.dual_simplex(np.zeros(N) if basis is None else c) == "infeasible":
+        return LpResult("infeasible", None, None)
+    return _finish(tab, c, lp.num_vars)
 
 
 def _finish(tab: _Tableau, c: np.ndarray, n: int) -> LpResult:
-    """Phase 2 from a primal feasible basis, then the final verification.
-
-    ``c`` covers the program's ``n`` variables and its slacks; the tableau
-    may carry frozen artificials beyond them.
-    """
-    N = c.size
-    A, b, lb, ub = tab.A[:, :N], tab.b, tab.lb[:N], tab.ub[:N]
-    c2 = np.concatenate([c, np.zeros(tab.N - N)])
-    status = tab.simplex(c2, allow_unbounded=True)
-    if status == "unbounded":
+    """Phase 2 from a primal feasible basis, then the final verification."""
+    A, b, lb, ub = tab.A, tab.b, tab.lb, tab.ub
+    if tab.simplex(c) == "unbounded":
         return LpResult("unbounded", None, None)
 
-    x = tab.values()[:N]
-    # Verification against the rows (negating a row above changes no
-    # residual's size); refresh and retry once if the tableau drifted beyond
-    # tolerance.  x includes the slack columns, so
-    # rows must hold as equalities; bounds cover the senses.  Residuals are
-    # judged relative to the magnitude of the row's own terms.
+    x = tab.values()
+    # Verification against the rows; refresh and retry once if the tableau
+    # drifted beyond tolerance.  x includes the slack columns, so rows must
+    # hold as equalities; bounds cover the senses.  Residuals are judged
+    # relative to the magnitude of the row's own terms.
     row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
     for attempt in range(2):
         resid = A @ x - b
@@ -610,10 +579,9 @@ def _finish(tab: _Tableau, c: np.ndarray, n: int) -> LpResult:
         if attempt == 1:
             raise LpError("solution failed final feasibility verification")
         tab.refresh()
-        tab.simplex(c2, allow_unbounded=True)
-        x = tab.values()[:N]
+        tab.simplex(c)
+        x = tab.values()
         row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
 
     obj = float(c @ x)
-    final = None if bool((tab.basis >= N).any()) else LpBasis(tab.basis.copy(), tab.stat[:N].copy())
-    return LpResult("optimal", obj, x[:n].copy(), final)
+    return LpResult("optimal", obj, x[:n].copy(), LpBasis(tab.basis.copy(), tab.stat.copy()))

@@ -266,6 +266,9 @@ _CASE_REJECTIONS = {  # the case edit and the message
                       "line 5: bus row needs at least 3 columns"),
     "fractional-bus-id": (("  2 1 0   0 0", "  1.5 1 0   0 0"),
                           "line 5: bus ids must be integers"),
+    "fractional-gen-bus": (("  1 0 0 300", "  1.5 0 0 300"), "line 9: bus ids must be integers"),
+    "fractional-branch-bus": (("  1 2 0.0", "  1 2.5 0.0"), "line 13: bus ids must be integers"),
+    "overflowing-bus-id": (("  3 1 400", "  1e400 1 400"), "line 6: bus ids must be finite"),
 }
 
 

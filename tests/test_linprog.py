@@ -303,14 +303,17 @@ def test_random_programs_match_highs():
         seen[status] += 1
         if status == "optimal":
             assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(lp)
+            assert ours.basis is not None, lp_format(lp)
     assert min(seen.values()) >= 10, seen
 
 
 def test_programs_without_rows_match_highs():
     """With no row, each column runs to the bound its cost prefers, stays at
-    its start on a zero cost, or makes the program unbounded."""
+    its start on a zero cost, or makes the program unbounded.  Each optimal
+    program is solved again from its basis after one bound is tightened."""
     pytest.importorskip("scipy.optimize")
     rng = random.Random(20261020)
+    tighten = random.Random(20261023)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(120):
         lp = LinearProgram()
@@ -327,6 +330,14 @@ def test_programs_without_rows_match_highs():
                 assert lp.lb[j] <= ours.value(j) <= lp.ub[j]
                 if lp.objective[j] == 0.0:
                     assert ours.value(j) == min(max(0.0, lp.lb[j]), lp.ub[j])
+            j = tighten.randrange(n)
+            lo, hi = lp.lb[j], lp.ub[j]
+            at = min(max(round(ours.value(j)) + tighten.randint(-2, 2), lo), hi)
+            overrides = {j: (at, hi) if tighten.random() < 0.5 else (lo, at)}
+            warm = solve_lp(lp, bound_overrides=overrides, basis=ours.basis)
+            status, value = _highs(lp, overrides)
+            assert (warm.status, status) == ("optimal", "optimal"), (lp_format(lp), overrides)
+            assert warm.objective == pytest.approx(value, rel=1e-9, abs=1e-9), (lp_format(lp), overrides)
     assert seen["infeasible"] == 0 and min(seen["optimal"], seen["unbounded"]) >= 20, seen
 
 
@@ -424,11 +435,12 @@ def test_warm_start_after_tightening_matches_highs(monkeypatch):
     """
     pytest.importorskip("scipy.optimize")
     phase2_pivots = []
+    warm_solve = [False]  # true only while the warm solve_lp call runs
     dual_simplex, pivot = linprog._Tableau.dual_simplex, linprog._Tableau.pivot
 
     def marking(self, c):
         status = dual_simplex(self, c)
-        self.repaired = True
+        self.repaired = warm_solve[0]
         return status
 
     def counting(self, r, j, rows):
@@ -444,10 +456,12 @@ def test_warm_start_after_tightening_matches_highs(monkeypatch):
     for k in range(2000):
         lp = _random_program(rng) if k % 2 else _degenerate_program(rng)
         cold = solve_lp(lp)
-        if cold.basis is None:  # not optimal, or a phase-1 artificial stayed basic
+        if cold.basis is None:  # not optimal
             continue
         overrides = _tightened(lp, cold, rng)
+        warm_solve[0] = True
         warm = solve_lp(lp, bound_overrides=overrides, basis=cold.basis)
+        warm_solve[0] = False
         tight = copy.deepcopy(lp)
         for j, (lo, hi) in overrides.items():
             tight.lb[j], tight.ub[j] = lo, hi
@@ -540,7 +554,7 @@ def test_sparse_pivot_matches_the_dense_update(monkeypatch, seed, program):
 
 def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
     """Pinned flows are nonzero fixed bounds that break rows at zero, so this
-    program runs phase 1."""
+    program's cold solve pivots in the dual simplex before phase 2."""
     pytest.importorskip("scipy.optimize")
     net = random_meshed_zero_lower(2, max_buses=120)
     mpf = solve_mpf(net, midpoint_susceptances(net))
