@@ -134,13 +134,17 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
-def _fmt_id(value: float) -> str:
+def _integer(value: float, what: str) -> int:
     if not math.isfinite(value):
-        raise ValueError("bus ids must be finite")
+        raise ValueError(f"{what} must be finite")
     i = int(value)
     if i != value:
-        raise ValueError("bus ids must be integers")
-    return str(i)
+        raise ValueError(f"{what} must be integers")
+    return i
+
+
+def _fmt_id(value: float) -> str:
+    return str(_integer(value, "bus ids"))
 
 
 def parse_case(text: str) -> RawCase:
@@ -209,8 +213,9 @@ def parse_case(text: str) -> RawCase:
         if len(row) < 3:
             raise CaseParseError("bus row needs at least 3 columns", line_no)
         try:
-            buses.append(RawBus(id=_fmt_id(row[0]), btype=int(row[1]), pd=row[2]))
-        except (ValueError, OverflowError) as exc:
+            buses.append(RawBus(id=_fmt_id(row[0]), btype=_integer(row[1], "bus types"),
+                                 pd=row[2]))
+        except ValueError as exc:
             raise CaseParseError(str(exc), line_no) from None
     gens = []
     for line_no, row in sections["gen"]:
@@ -226,8 +231,8 @@ def parse_case(text: str) -> RawCase:
             raise CaseParseError("branch row needs at least 11 columns", line_no)
         try:
             ends = _fmt_id(row[0]), _fmt_id(row[1])
-            status = int(row[10])
-        except (ValueError, OverflowError) as exc:
+            status = _integer(row[10], "branch statuses")
+        except ValueError as exc:
             raise CaseParseError(str(exc), line_no) from None
         if status != 0 and row[3] == 0.0:
             raise CaseParseError("in-service branch has zero reactance", line_no)

@@ -11,7 +11,14 @@ is a feasible operating point and therefore a lower bound for the exact
 solver, which it can warm start.
 
 The three-start variant runs the loop from the interval lower bounds, upper
-bounds and midpoints, returning the best of the three.
+bounds and midpoints, returning the best of the three.  The starts share the
+programs they solve: an MPF optimum is kept under the tuple of susceptances
+in ``net.lines`` order (a missing line reads as ``s_min``), an MVF optimum
+under the tuple of bits on ``net.facts_lines()``, and a start that reaches a
+kept point takes the stored solution instead of solving again.  Both solves
+are deterministic, so every value and trace is what separate runs give,
+except that a later start's ``ImTrace.wall_time`` leaves out the solves an
+earlier start already paid for.
 """
 
 from __future__ import annotations
@@ -89,6 +96,34 @@ def start_susceptances(net: Network, which: str) -> dict[LineId, float]:
     raise InputError(f"unknown start {which!r}")
 
 
+class _SolvedPrograms:
+    """The MPF and MVF optima solved so far on one network.
+
+    Each is keyed by all that its solve reads: MPF by the susceptance of
+    every line, MVF by the bit of every controllable line (fixed lines take
+    none).  Solves call this module's ``solve_mpf`` and ``solve_mvf`` names, so
+    a patched name sees every real solve.
+    """
+
+    def __init__(self, net: Network):
+        self.net = net
+        self._facts = net.facts_lines()
+        self._mpf: dict[tuple, LdcSolution] = {}
+        self._mvf: dict[tuple, LdcSolution | None] = {}
+
+    def mpf(self, s: Mapping[LineId, float]) -> LdcSolution:
+        key = tuple(s.get(ln.key, ln.s_min) for ln in self.net.lines)
+        if key not in self._mpf:
+            self._mpf[key] = solve_mpf(self.net, s)
+        return self._mpf[key]
+
+    def mvf(self, bits: Mapping[LineId, int]) -> LdcSolution | None:
+        key = tuple(bits.get(ln.key) for ln in self._facts)
+        if key not in self._mvf:
+            self._mvf[key] = solve_mvf(self.net, bits)
+        return self._mvf[key]
+
+
 def solve_im(net: Network, s0: Mapping[LineId, float]) -> ImResult:
     """Run the alternating loop from susceptances ``s0``.
 
@@ -96,6 +131,10 @@ def solve_im(net: Network, s0: Mapping[LineId, float]) -> ImResult:
     most ``max(1e-9, 1e-7 * |value|)``, or after 1000 rounds (the best point
     seen so far is then returned with ``converged=False``).
     """
+    return _solve_im(net, s0, _SolvedPrograms(net))
+
+
+def _solve_im(net: Network, s0: Mapping[LineId, float], solved: _SolvedPrograms) -> ImResult:
     t0 = time.monotonic()
     trace = ImTrace()
     s = dict(s0)
@@ -103,12 +142,12 @@ def solve_im(net: Network, s0: Mapping[LineId, float]) -> ImResult:
     best_solution: LdcSolution | None = None
 
     for _ in range(_MAX_ITER):
-        mpf = solve_mpf(net, s)
+        mpf = solved.mpf(s)
         trace.steps.append(("mpf", mpf.value))
         if mpf.value > best_value:
             best_value, best_solution = mpf.value, mpf
         pattern = extract_signs(net, mpf.theta)
-        mvf = solve_mvf(net, pattern)
+        mvf = solved.mvf(pattern)
         trace.steps.append(("mvf", mvf.value))
         trace.iterations += 1
         if mvf.value > best_value:
@@ -125,8 +164,19 @@ def solve_im(net: Network, s0: Mapping[LineId, float]) -> ImResult:
 
 
 def multi_start_im(net: Network) -> MultiStartResult:
-    """Best of three alternating runs started at lower, upper and midpoint."""
-    runs = {which: solve_im(net, start_susceptances(net, which))
+    """Best of three alternating runs started at lower, upper and midpoint.
+
+    The runs share one store of solved programs for the length of the call:
+    MPF optima keyed by the susceptance tuple in ``net.lines`` order (a
+    missing line reads as ``s_min``), MVF optima by the bit tuple on
+    ``net.facts_lines()``.  A start that reaches a point an earlier start
+    visited replays the rest of that trajectory from the store, so each run
+    equals a separate :func:`solve_im` from its start, but the
+    ``trace.wall_time`` of a later start leaves out the solves an earlier
+    start already paid for.
+    """
+    solved = _SolvedPrograms(net)
+    runs = {which: _solve_im(net, start_susceptances(net, which), solved)
             for which in ("lower", "upper", "mid")}
     best = max(runs.values(), key=lambda r: r.value)
     return MultiStartResult(best=best, runs=runs)

@@ -269,6 +269,10 @@ _CASE_REJECTIONS = {  # the case edit and the message
     "fractional-gen-bus": (("  1 0 0 300", "  1.5 0 0 300"), "line 9: bus ids must be integers"),
     "fractional-branch-bus": (("  1 2 0.0", "  1 2.5 0.0"), "line 13: bus ids must be integers"),
     "overflowing-bus-id": (("  3 1 400", "  1e400 1 400"), "line 6: bus ids must be finite"),
+    "fractional-bus-type": (("  2 1 0   0 0", "  2 1.7 0   0 0"),
+                            "line 5: bus types must be integers"),
+    "fractional-branch-status": (("0  400 0 0 0 0 1 -360", "0  400 0 0 0 0 0.5 -360"),
+                                 "line 14: branch statuses must be integers"),
 }
 
 

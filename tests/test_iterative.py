@@ -2,12 +2,14 @@
 
 import pytest
 
+from factsflow import formulations, iterative
 from factsflow.model import Bus, BusKind, Line, Network, validate_solution
 from factsflow.iterative import multi_start_im, solve_im, start_susceptances
 from factsflow.mip import MffConfig, enumerate_signs_oracle, solve_mff
 from factsflow.maxflow import max_flow
 
-from conftest import random_small_net, random_tree
+from conftest import (random_meshed_zero_lower, random_partly_unbounded, random_small_net,
+                      random_tree, random_unbounded_upper)
 
 
 class TestSolveIm:
@@ -77,6 +79,57 @@ class TestMultiStart:
             oracle = enumerate_signs_oracle(net)
             assert res.value <= oracle.value + 1e-6
             assert validate_solution(net, res.solution).ok
+
+
+class TestSharedSolves:
+    """The three starts share solved programs without changing any run."""
+
+    def test_each_start_equals_its_own_run(self):
+        nets = [random_small_net(seed) for seed in range(30)]
+        for family in (random_tree, random_meshed_zero_lower, random_unbounded_upper,
+                       random_partly_unbounded):
+            nets += [family(seed) for seed in range(3)]
+        for net in nets:
+            res = multi_start_im(net)
+            for which, run in res.runs.items():
+                alone = solve_im(net, start_susceptances(net, which))
+                assert run.value == alone.value, which
+                assert run.trace.steps == alone.trace.steps, which
+                assert run.trace.iterations == alone.trace.iterations, which
+                assert dict(run.solution.susceptance) == dict(alone.solution.susceptance)
+
+    @staticmethod
+    def _count_solves(monkeypatch, net):
+        """Run ``multi_start_im`` on ``net``; return it and the keys each solve got."""
+        keys = {"mpf": [], "mvf": []}
+
+        def mpf(net_, s):
+            keys["mpf"].append(tuple(s.get(ln.key, ln.s_min) for ln in net_.lines))
+            return formulations.solve_mpf(net_, s)
+
+        def mvf(net_, bits):
+            keys["mvf"].append(tuple(bits[ln.key] for ln in net_.facts_lines()))
+            return formulations.solve_mvf(net_, bits)
+
+        monkeypatch.setattr(iterative, "solve_mpf", mpf)
+        monkeypatch.setattr(iterative, "solve_mvf", mvf)
+        return multi_start_im(net), keys
+
+    def test_no_program_is_solved_twice(self, monkeypatch):
+        for seed in range(20):
+            _, keys = self._count_solves(monkeypatch, random_small_net(seed))
+            for phase, seen in keys.items():
+                assert len(seen) == len(set(seen)), (seed, phase)
+
+    def test_fixed_network_solves_each_program_once(self, monkeypatch, tri):
+        res, keys = self._count_solves(monkeypatch, tri)
+        assert len(res.runs) == 3
+        assert (len(keys["mpf"]), len(keys["mvf"])) == (1, 1)
+
+    def test_starts_that_meet_share_their_direction_solve(self, monkeypatch):
+        res, keys = self._count_solves(monkeypatch, random_small_net(0))
+        rounds = sum(run.trace.iterations for run in res.runs.values())
+        assert len(keys["mvf"]) < rounds
 
 
 def test_heuristic_warm_starts_the_exact_solver(tri_f):
