@@ -250,7 +250,10 @@ def _cmd_validate(args) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="factsflow",
         description="Maximum-throughput analysis of DC networks with "

@@ -347,25 +347,21 @@ def check_reduction(inst: ExactCoverInstance) -> ReductionCheck:
     """Solve the encoding exactly and compare against the target value.
 
     ``reaches_target`` should match :func:`exact_cover_brute_force`, since
-    the default gadget passes :func:`verify_choice`.  The verdict is conclusive
-    even under a time limit when either the incumbent already reaches the
-    target (a feasible lower bound) or the upper bound falls short of it;
-    anything else is reported ``indeterminate``.
+    the default gadget passes :func:`verify_choice`.  The verdict is
+    conclusive only when the incumbent reaches the target (a feasible lower
+    bound) or the upper bound falls short of it, however the search ended;
+    anything else, such as a search that stopped at its gap with the bound
+    still at or above the target, is reported ``indeterminate``.
     """
     encoding = build_exact_cover_network(inst)
     result = solve_mff(encoding.net, _REDUCTION_CONFIG)
     goal = float(encoding.target)
     reaches = result.objective >= goal - 1e-6
-    if reaches or result.upper_bound < goal - 1e-6:
-        status = "ok"
-    elif result.termination in ("time_limit", "node_limit"):
-        status = "indeterminate"
-    else:
-        status = "ok"
+    conclusive = reaches or result.upper_bound < goal - 1e-6
     return ReductionCheck(
         mff=result.objective,
         target=encoding.target,
         reaches_target=reaches,
-        status=status,
+        status="ok" if conclusive else "indeterminate",
         result=result,
     )

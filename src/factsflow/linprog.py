@@ -23,10 +23,13 @@ repairing the basic columns that the new bounds put outside their bounds.
 Either way, primal phase 2 follows; from a dual feasible basis it finds
 nothing eligible.
 
-The tableau is stored dense, but network programs make it hypersparse: a
-pivot updates only the rows with a nonzero in the entering column and the
-columns with a nonzero in the pivot row, and its ratio test reads only the
-rows the entering column moves.  Every skipped entry would only have a zero
+Both loops change the basis through one method, ``_Tableau.exchange``: it
+moves the entering column, rests the leaving one on its bound, pivots, and
+refactorises the tableau every 300 exchanges of a loop.  The tableau is
+stored dense, but network programs make it hypersparse: a pivot updates only
+the rows with a nonzero in the entering column and the columns with a
+nonzero in the pivot row, and its ratio test reads only the rows the
+entering column moves.  Every skipped entry would only have a zero
 subtracted from it, so this matches the dense update bit for bit, up to the
 sign of an exact zero.  Solutions are basic, so optimal values such as line
 capacities are reproduced exactly rather than to interior-point accuracy.
@@ -76,6 +79,10 @@ _AT_LB = 0
 _AT_UB = 1
 _AT_ZERO = 2
 _BASIC = 3
+# Whether a nonbasic column may rise, and may fall, from each status, indexed
+# by the status plus ``_Tableau.movable``: 0 for a fixed column, 4 otherwise.
+_RISES = np.array([False, False, True, False, True, False, True, False])
+_FALLS = np.array([False, False, True, False, False, True, True, False])
 
 
 class LpError(RuntimeError):
@@ -192,11 +199,12 @@ def _rest_at_zero(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
 class _Tableau:
     """Simplex working state over the equality standard form.
 
-    ``T`` is the dense tableau ``inv(B) @ A``, kept C-ordered.  A pivot
-    touches only the block of rows where the entering column is nonzero and
-    columns where the pivot row is nonzero, with the same arithmetic the
-    dense rank-one update applies there; every 300 pivots ``T`` is
-    refactorised from ``A``.
+    ``T`` is the dense tableau ``inv(B) @ A``, kept C-ordered.  Every pivot
+    of both loops goes through :meth:`exchange`.  It touches only the block
+    of rows where the entering column is nonzero and columns where the
+    pivot row is nonzero, with the same arithmetic the dense rank-one update
+    applies there; ``T`` is refactorised from ``A`` every 300 exchanges of a
+    loop, each loop counting from its own start.
 
     ``A`` is the ``m x (n + m)`` standard form: the program's ``n``
     columns, then one slack per row.  Without ``start``, the slacks, which
@@ -215,6 +223,8 @@ class _Tableau:
         self.lb = lb
         self.ub = ub
         self.m, self.N = A.shape
+        self.movable = np.where((ub - lb) > 0.0, 4, 0).astype(np.int8)
+        self.max_iter = 200 * (self.m + self.N) + 2000
         if start is None:
             self.basis = np.arange(self.N - self.m, self.N)
             self.stat = _rest_at_zero(lb, ub)
@@ -246,17 +256,21 @@ class _Tableau:
         x[self.basis] = self.beta
         return x
 
-    def refresh(self, strict: bool = True) -> bool:
+    def refresh(self) -> None:
         """Refactorise to purge accumulated floating-point drift."""
         B = self.A[:, self.basis]
         try:
             self.T = np.linalg.inv(B) @ self.A
             self.beta = np.linalg.solve(B, self.b - self.A @ self._nonbasic_values())
         except np.linalg.LinAlgError as exc:
-            if strict:
-                raise LpError("singular basis") from exc
-            return False
-        return True
+            raise LpError("singular basis") from exc
+        self.exchanges = 0
+
+    def directions(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the columns ``cols`` that may rise and that may fall
+        from their status; both are false on basic columns."""
+        k = self.stat[cols] + self.movable[cols]
+        return _RISES.take(k), _FALLS.take(k)
 
     def pivot(self, r: int, j: int, rows: np.ndarray) -> None:
         """Rank-one update of ``T`` for column ``j`` entering in row ``r``.
@@ -272,6 +286,24 @@ class _Tableau:
         block = (rows[:, None] * self.N + cols).ravel()  # flat indices; T is C-ordered
         T.reshape(-1)[block] -= (T[rows, j][:, None] * pivot_row[cols]).ravel()
 
+    def exchange(self, r: int, j: int, t: float, leaving_status: int) -> None:
+        """Move nonbasic column ``j`` by the signed step ``t``, then exchange
+        it for the column basic in row ``r``, which rests at
+        ``leaving_status``.  Every 300 exchanges ``T`` is refactorised."""
+        beta = self.beta
+        entering_value = self.nonbasic_value(j) + t
+        col = self.T[:, j]
+        nz = col.nonzero()[0]
+        beta[nz] -= col[nz] * t
+        self.stat[self.basis[r]] = leaving_status
+        self.pivot(r, j, nz[nz != r])
+        self.basis[r] = j
+        self.stat[j] = _BASIC
+        beta[r] = entering_value
+        self.exchanges += 1
+        if self.exchanges >= 300:
+            self.refresh()
+
     def simplex(self, c: np.ndarray) -> str:
         """Run primal simplex for objective ``c`` (maximise).
 
@@ -281,30 +313,18 @@ class _Tableau:
         corrupt the factorisation.  Returns "optimal" or "unbounded";
         raises :class:`LpError` when the iteration limit is exceeded.
         """
-        m, N = self.m, self.N
         lb, ub, stat, basis = self.lb, self.ub, self.stat, self.basis
-        max_iter = 200 * (m + N) + 2000
         degenerate_streak = 0
-        since_refresh = 0
         wedged = 0
-        movable = (ub - lb) > 0.0
         pivot_tol = 1e-8
-        # Which nonbasic columns may rise or fall from their status; kept in
-        # step with ``stat`` as columns flip, enter and leave.
-        rises = ((stat == _AT_LB) & movable) | (stat == _AT_ZERO)
-        falls = ((stat == _AT_UB) & movable) | (stat == _AT_ZERO)
         # |lb| where finite, the floor of a basic column's feasibility window.
         lb_scale = np.where(np.isfinite(lb), np.abs(lb), 0.0)
-
-        def mark(k: int) -> None:
-            rises[k] = stat[k] == _AT_ZERO or (stat[k] == _AT_LB and movable[k])
-            falls[k] = stat[k] == _AT_ZERO or (stat[k] == _AT_UB and movable[k])
-
-        for _ in range(max_iter):
+        self.exchanges = 0
+        for _ in range(self.max_iter):
             T, beta = self.T, self.beta
             d = c - c[basis] @ T
-            d[basis] = 0.0
 
+            rises, falls = self.directions(slice(None))
             up = rises & (d > _COST_EPS)
             eligible = (up | (falls & (d < -_COST_EPS))).nonzero()[0]
             if eligible.size == 0:
@@ -315,7 +335,6 @@ class _Tableau:
             else:
                 order = eligible[(-np.abs(d[eligible])).argsort()]
 
-            acted = False
             skipped_significant = False
             for j in order[:40]:
                 j = int(j)
@@ -346,9 +365,7 @@ class _Tableau:
                     # moves towards.
                     beta[nz] -= step * t_flip
                     stat[j] = _AT_UB if direction > 0 else _AT_LB
-                    mark(j)
                     degenerate_streak = 0
-                    acted = True
                     break
 
                 # Harris-style: among rows within the feasibility window of
@@ -365,46 +382,27 @@ class _Tableau:
                     continue
                 t = float(min(ratio[p], t_flip))
 
-                entering_value = value + direction * t
-                leaving = int(basis[r])
-                beta[nz] -= step * t
-                leave_val = beta[r]
-                # Classify which bound the leaving variable rests on.
-                if math.isfinite(lb[leaving]) and abs(leave_val - lb[leaving]) <= abs(
-                    leave_val - ub[leaving]
-                ):
-                    stat[leaving] = _AT_LB
-                elif math.isfinite(ub[leaving]):
-                    stat[leaving] = _AT_UB
-                else:
-                    stat[leaving] = _AT_LB  # degenerate: finite lb exists here
-                mark(leaving)
-
-                self.pivot(r, j, nz[nz != r])
-                basis[r] = j
-                stat[j] = _BASIC
-                mark(j)
-                beta[r] = entering_value
-
+                # The leaving column rests on the finite bound nearer its new
+                # value, on lb in a tie; ``direction`` is +-1, so this is the
+                # value that exchange writes.
+                lo, hi = lb[basis[r]], ub[basis[r]]
+                leave_val = beta[r] - T[r, j] * (direction * t)
+                near_lo = math.isfinite(lo) and abs(leave_val - lo) <= abs(leave_val - hi)
+                resting = _AT_UB if math.isfinite(hi) and not near_lo else _AT_LB
+                self.exchange(r, j, direction * t, resting)
                 degenerate_streak = degenerate_streak + 1 if t <= 1e-12 else 0
-                since_refresh += 1
-                if since_refresh >= 300:
-                    self.refresh(strict=False)
-                    since_refresh = 0
-                acted = True
                 break
-
-            if acted:
-                wedged = 0
             else:
                 if not skipped_significant:
                     return "optimal"  # only noise-level candidates remain
                 # A significant candidate had no stable pivot: purge drift
                 # and retry a few times before failing loudly.
                 wedged += 1
-                if wedged > 3 or not self.refresh(strict=False):
+                if wedged > 3:
                     raise LpError("no numerically stable pivot available")
-                since_refresh = 0
+                self.refresh()
+                continue
+            wedged = 0
         raise LpError("iteration limit exceeded")
 
     def dual_simplex(self, c: np.ndarray) -> str:
@@ -425,11 +423,9 @@ class _Tableau:
         runs this as its phase 1: every ratio is then 0, so the largest
         ``|alpha_rj|`` enters.
         """
-        m, N = self.m, self.N
-        lb, ub, stat, basis = self.lb, self.ub, self.stat, self.basis
-        movable = (ub - lb) > 0.0
-        since_refresh = 0
-        for _ in range(200 * (m + N) + 2000):
+        lb, ub, basis = self.lb, self.ub, self.basis
+        self.exchanges = 0
+        for _ in range(self.max_iter):
             T, beta = self.T, self.beta
             below = lb[basis] - beta
             excess = np.maximum(below, beta - ub[basis])
@@ -438,18 +434,14 @@ class _Tableau:
                 return "feasible"
             r = int(excess.argmax())
             rise = bool(below[r] > 0.0)
-            leaving = int(basis[r])
-            target = lb[leaving] if rise else ub[leaving]
+            target = lb[basis[r]] if rise else ub[basis[r]]
 
             # The leaving column moves by -alpha_rj per unit that column j
             # moves, so it rises with a rising j where alpha_rj < 0 and with a
             # falling j where alpha_rj > 0, and the other way round to fall.
             cols = T[r].nonzero()[0]
             alpha = T[r, cols]
-            s = stat[cols]
-            at_zero = s == _AT_ZERO
-            rises = ((s == _AT_LB) & movable[cols]) | at_zero
-            falls = ((s == _AT_UB) & movable[cols]) | at_zero
+            rises, falls = self.directions(cols)
             toward = -alpha if rise else alpha
             ok = (np.abs(alpha) > _DUAL_PIVOT_TOL) & ((rises & (toward > 0.0)) | (falls & (toward < 0.0)))
             cols, alpha = cols[ok], alpha[ok]
@@ -459,24 +451,11 @@ class _Tableau:
             ratio = np.abs(d) / np.abs(alpha)
             near = (ratio <= ratio.min() + 1e-12).nonzero()[0]
             p = int(near[np.abs(alpha[near]).argmax()])
-            j = int(cols[p])
 
-            # Move column j just far enough to put the leaving column on its
-            # bound, then pivot j into row r.
-            t = (beta[r] - target) / alpha[p]
-            entering_value = self.nonbasic_value(j) + t
-            nz = T[:, j].nonzero()[0]
-            beta[nz] -= T[nz, j] * t
-            stat[leaving] = _AT_LB if rise else _AT_UB
-            self.pivot(r, j, nz[nz != r])
-            basis[r] = j
-            stat[j] = _BASIC
-            beta[r] = entering_value
-
-            since_refresh += 1
-            if since_refresh >= 300:
-                self.refresh(strict=False)
-                since_refresh = 0
+            # Move the entering column just far enough to put the leaving
+            # column on its bound.
+            self.exchange(r, int(cols[p]), (beta[r] - target) / alpha[p],
+                          _AT_LB if rise else _AT_UB)
         raise LpError("iteration limit exceeded")
 
 
@@ -550,22 +529,20 @@ def solve_lp(lp: LinearProgram,
     # the dual simplex is a primal phase 1.
     if tab.dual_simplex(np.zeros(N) if basis is None else c) == "infeasible":
         return LpResult("infeasible", None, None)
-    return _finish(tab, c, lp.num_vars)
-
-
-def _finish(tab: _Tableau, c: np.ndarray, n: int) -> LpResult:
-    """Phase 2 from a primal feasible basis, then the final verification."""
-    A, b, lb, ub = tab.A, tab.b, tab.lb, tab.ub
     if tab.simplex(c) == "unbounded":
         return LpResult("unbounded", None, None)
 
-    x = tab.values()
-    # Verification against the rows; refresh and retry once if the tableau
-    # drifted beyond tolerance.  x includes the slack columns, so rows must
-    # hold as equalities; bounds cover the senses.  Residuals are judged
-    # relative to the magnitude of the row's own terms.
-    row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
+    # Verification against the rows; if the tableau drifted beyond tolerance,
+    # refactorise, re-run phase 2 and check once more.  x includes the slack
+    # columns, so rows must hold as equalities; bounds cover the senses.
+    # Residuals are judged relative to the magnitude of the row's own terms.
     for attempt in range(2):
+        if attempt:
+            tab.refresh()
+            if tab.simplex(c) != "optimal":
+                raise LpError("phase 2 did not end optimal after refactorisation")
+        x = tab.values()
+        row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
         resid = A @ x - b
         tolerance = _FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(b), row_scale))
         rows_ok = bool(np.all(np.abs(resid) <= tolerance))
@@ -576,12 +553,9 @@ def _finish(tab: _Tableau, c: np.ndarray, n: int) -> LpResult:
                          and np.all(hi_gap >= -_FEAS_TOL * scale))
         if rows_ok and bounds_ok:
             break
-        if attempt == 1:
-            raise LpError("solution failed final feasibility verification")
-        tab.refresh()
-        tab.simplex(c)
-        x = tab.values()
-        row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
+    else:
+        raise LpError("solution failed final feasibility verification")
 
     obj = float(c @ x)
-    return LpResult("optimal", obj, x[:n].copy(), LpBasis(tab.basis.copy(), tab.stat.copy()))
+    return LpResult("optimal", obj, x[:lp.num_vars].copy(),
+                    LpBasis(tab.basis.copy(), tab.stat.copy()))

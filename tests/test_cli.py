@@ -1,5 +1,6 @@
 """The command-line front end, driven through run_command."""
 
+import argparse
 import json
 import os
 import re
@@ -59,6 +60,23 @@ def test_solver_commands_agree(workdir, capsys):
     values = [float(line) for line in outputs[:4]]
     # demand caps everything at 4 pu here, so all four coincide
     assert values == pytest.approx([4.0, 4.0, 4.0, 4.0], abs=1e-6)
+
+
+def test_commands_share_one_parser(workdir, monkeypatch, capsys):
+    """The parser is built once per process, not once per command."""
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    net_path = str(workdir / "toy.json")
+    assert run_command(["mf", net_path]) == 0
+    assert run_command(["mpf", net_path]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    capsys.readouterr()
 
 
 def test_written_solutions_revalidate(workdir):

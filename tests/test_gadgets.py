@@ -1,9 +1,11 @@
 """Choice gadgets and the exact-cover encoding."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from factsflow import gadgets
 from factsflow.model import InputError, validate_network
 from factsflow.gadgets import (
     ExactCoverInstance,
@@ -144,6 +146,29 @@ class TestCheckReduction:
         check = check_reduction(inst)
         assert check.status == "ok"
         assert not check.reaches_target
+
+    @pytest.mark.parametrize("objective, upper, expected", [
+        (-0.5, 0.0, "indeterminate"),  # bound still at the target: undecided
+        (-0.5, -0.25, "ok"),  # bound below the target: it cannot be reached
+        (0.0, 0.5, "ok"),  # incumbent at the target: it is reached
+    ])
+    def test_verdict_rests_on_the_bounds_not_the_termination(
+            self, monkeypatch, objective, upper, expected):
+        """A search that stops at its gap has a verdict only if its incumbent
+        reaches the target or its upper bound falls short of it."""
+        inst = ExactCoverInstance.from_lists(["a", "b", "c"], [["a", "b", "c"]])
+        goal = float(build_exact_cover_network(inst).target)
+        solve_mff = gadgets.solve_mff
+
+        def stopped_at_gap(net, config=None, warm_start=None):
+            result = solve_mff(net, config, warm_start)
+            return dataclasses.replace(result, objective=goal + objective,
+                                       upper_bound=goal + upper, termination="gap_reached")
+
+        monkeypatch.setattr(gadgets, "solve_mff", stopped_at_gap)
+        check = check_reduction(inst)
+        assert check.status == expected
+        assert check.reaches_target == (objective == 0.0)
 
     def test_empty_instance_degenerates_to_single_line(self):
         inst = ExactCoverInstance.from_lists([], [])

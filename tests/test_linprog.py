@@ -71,7 +71,7 @@ def test_tiny_cost_ray_is_unbounded():
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_textbook_optimum():
+def _textbook_program() -> LinearProgram:
     lp = LinearProgram()
     x = lp.add_var("x", 0.0)
     y = lp.add_var("y", 0.0)
@@ -79,9 +79,13 @@ def test_textbook_optimum():
     lp.add_constraint({y: 2.0}, "<=", 12.0)
     lp.add_constraint({x: 3.0, y: 2.0}, "<=", 18.0)
     lp.set_objective({x: 3.0, y: 5.0})
-    res = solve_lp(lp)
+    return lp
+
+
+def test_textbook_optimum():
+    res = solve_lp(_textbook_program())
     assert res.objective == pytest.approx(36.0, abs=1e-9)
-    assert (res.value(x), res.value(y)) == (pytest.approx(2.0), pytest.approx(6.0))
+    assert (res.value(0), res.value(1)) == (pytest.approx(2.0), pytest.approx(6.0))
 
 
 def test_free_variables_and_equalities():
@@ -575,3 +579,107 @@ def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
     status, value = _highs(lp, overrides)
     assert (ours.status, status) == ("optimal", "optimal")
     assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+
+
+def _values_wrong_once(monkeypatch) -> list[int]:
+    """Make ``_Tableau.values`` move ``x`` off its row on its first call
+    only, so the final verification fails once; returns the call log."""
+    calls = []
+    values = linprog._Tableau.values
+
+    def perturbed(self):
+        x = values(self)
+        calls.append(len(calls))
+        if len(calls) == 1:
+            x[0] += 1.0
+        return x
+
+    monkeypatch.setattr(linprog._Tableau, "values", perturbed)
+    return calls
+
+
+def test_verification_retry_recovers_the_optimum(monkeypatch):
+    """A solution that fails the final check is refactorised, phase 2 is run
+    again and the check repeated, which the unperturbed optimum passes."""
+    lp = _textbook_program()
+    expected = solve_lp(lp)
+    calls = _values_wrong_once(monkeypatch)
+    res = solve_lp(lp)
+    assert calls == [0, 1]
+    assert (res.status, res.objective) == ("optimal", expected.objective)
+    assert np.array_equal(res.x, expected.x)
+    assert np.array_equal(res.basis.columns, expected.basis.columns)
+
+
+def test_verification_retry_must_end_optimal(monkeypatch):
+    """The phase 2 re-run of the verification retry is checked: a re-run
+    that does not end optimal is a numerical failure, not an optimum."""
+    _values_wrong_once(monkeypatch)
+    simplex = linprog._Tableau.simplex
+    runs = []
+
+    def unbounded_on_rerun(self, c):
+        status = simplex(self, c)
+        runs.append(status)
+        return "unbounded" if len(runs) == 2 else status
+
+    monkeypatch.setattr(linprog._Tableau, "simplex", unbounded_on_rerun)
+    with pytest.raises(LpError):
+        solve_lp(_textbook_program())
+    assert runs == ["optimal", "optimal"]
+
+
+def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
+    """Each simplex loop counts its own exchanges from its start, so its
+    periodic refactorisations fall on its 300th, 600th, ... pivot whatever
+    the other loop did before it.
+
+    At seed 0 the MPF and the MFF relaxation make 511 and 703 primal pivots.
+    The MVF with six pinned flows pivots in both loops, with more pivots in
+    the two together than 300 past the dual loop's last refactorisation;
+    with every flow pinned, the dual loop alone passes 300.
+    """
+    runs = []  # (loop, pivots, pivots made at each refactorisation)
+    simplex, dual_simplex = linprog._Tableau.simplex, linprog._Tableau.dual_simplex
+    pivot, refresh = linprog._Tableau.pivot, linprog._Tableau.refresh
+
+    def loop(run):
+        def running(self, c):
+            self.counts = [run.__name__, 0, []]
+            try:
+                return run(self, c)
+            finally:
+                runs.append(tuple(self.counts))
+                self.counts = None
+        return running
+
+    def counting(self, r, j, rows):
+        self.counts[1] += 1
+        pivot(self, r, j, rows)
+
+    def recording(self):
+        if getattr(self, "counts", None):  # not the start or the final check
+            self.counts[2].append(self.counts[1])
+        refresh(self)
+
+    monkeypatch.setattr(linprog._Tableau, "simplex", loop(simplex))
+    monkeypatch.setattr(linprog._Tableau, "dual_simplex", loop(dual_simplex))
+    monkeypatch.setattr(linprog._Tableau, "pivot", counting)
+    monkeypatch.setattr(linprog._Tableau, "refresh", recording)
+    net = random_meshed_zero_lower(0, max_buses=120)
+    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
+    relaxation, _ = build_mff_relaxation(net)
+    for lp in (mpf.lp, relaxation.lp):
+        assert solve_lp(lp).status == "optimal"
+    point = solve_mpf(net, midpoint_susceptances(net))
+    flows = {key: 0.5 * f for key, f in point.injections.flow.items() if abs(f) > 1e-6}
+    for pinned in (dict(list(flows.items())[:6]), flows):
+        assert formulations.solve_mvf(net, extract_signs(net, point.theta), pinned_flows=pinned)
+
+    for name, pivots, refreshes in runs:
+        assert refreshes == list(range(300, pivots + 1, 300)), (name, pivots, refreshes)
+    assert max(p for name, p, _ in runs if name == "simplex") >= 600
+    assert max(p for name, p, _ in runs if name == "dual_simplex") >= 300
+    assert any(first[0] == "dual_simplex" and second[0] == "simplex"
+               and first[1] % 300 != 0 and first[1] % 300 + second[1] >= 300
+               for first, second in zip(runs, runs[1:])), runs
