@@ -24,15 +24,24 @@ Either way, primal phase 2 follows; from a dual feasible basis it finds
 nothing eligible.
 
 Both loops change the basis through one method, ``_Tableau.exchange``: it
-moves the entering column, rests the leaving one on its bound, pivots, and
-refactorises the tableau every 300 exchanges of a loop.  The tableau is
-stored dense, but network programs make it hypersparse: a pivot updates only
-the rows with a nonzero in the entering column and the columns with a
-nonzero in the pivot row, and its ratio test reads only the rows the
-entering column moves.  Every skipped entry would only have a zero
-subtracted from it, so this matches the dense update bit for bit, up to the
-sign of an exact zero.  Solutions are basic, so optimal values such as line
-capacities are reproduced exactly rather than to interior-point accuracy.
+moves the entering column, rests the leaving one on its bound, pivots,
+updates the reduced costs along the new pivot row, and refactorises the
+tableau every 300 exchanges of a loop.  The tableau is stored dense, but
+network programs make it hypersparse: a pivot updates only the rows with a
+nonzero in the entering column and the columns with a nonzero in the pivot
+row, and its ratio test reads only the rows the entering column moves.
+Every skipped entry would only have a zero subtracted from it, so this
+matches the dense update bit for bit, up to the sign of an exact zero.
+Solutions are basic, so optimal values such as line capacities are
+reproduced exactly rather than to interior-point accuracy.
+
+The reduced costs ``d = c - c_B T`` of the running loop's objective are kept
+from pivot to pivot by an O(N) update along the new pivot row (Maros 2003),
+not priced in O(m N) each iteration.  They are priced afresh when a loop
+starts, unless neither the costs nor the basis changed since the last
+pricing; at each refactorisation, which clears their drift along with the
+tableau's; and before the primal loop reports an optimum, which it decides
+on fresh prices only.
 
 Variables carry individual bounds which may be infinite on either side;
 constraints are linear expressions compared to a right-hand side with one of
@@ -206,6 +215,11 @@ class _Tableau:
     applies there; ``T`` is refactorised from ``A`` every 300 exchanges of a
     loop, each loop counting from its own start.
 
+    ``d`` holds the reduced costs ``c - c_B T`` of the costs ``c`` last
+    given to :meth:`price`.  :meth:`exchange` keeps them up to date along
+    the new pivot row, :meth:`refresh` prices them afresh, and ``stale``
+    says whether an exchange came since the last pricing.
+
     ``A`` is the ``m x (n + m)`` standard form: the program's ``n``
     columns, then one slack per row.  Without ``start``, the slacks, which
     form the identity, are basic, so the start tableau is ``A`` itself and
@@ -225,12 +239,14 @@ class _Tableau:
         self.m, self.N = A.shape
         self.movable = np.where((ub - lb) > 0.0, 4, 0).astype(np.int8)
         self.max_iter = 200 * (self.m + self.N) + 2000
+        self.c = np.zeros(self.N)
         if start is None:
             self.basis = np.arange(self.N - self.m, self.N)
             self.stat = _rest_at_zero(lb, ub)
             self.stat[self.basis] = _BASIC
             self.T = A.copy()
             self.beta = b - A @ self._nonbasic_values()
+            self.price(self.c)
             return
         self.basis = start.columns.copy()
         stat = start.status
@@ -265,6 +281,13 @@ class _Tableau:
         except np.linalg.LinAlgError as exc:
             raise LpError("singular basis") from exc
         self.exchanges = 0
+        self.price(self.c)
+
+    def price(self, c: np.ndarray) -> None:
+        """Keep the costs ``c`` and compute their reduced costs afresh."""
+        self.c = c
+        self.d = c - c[self.basis] @ self.T if c.any() else np.zeros(self.N)
+        self.stale = False
 
     def directions(self, cols) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the columns ``cols`` that may rise and that may fall
@@ -272,31 +295,35 @@ class _Tableau:
         k = self.stat[cols] + self.movable[cols]
         return _RISES.take(k), _FALLS.take(k)
 
-    def pivot(self, r: int, j: int, rows: np.ndarray) -> None:
+    def pivot(self, r: int, j: int, rows: np.ndarray, cols: np.ndarray) -> None:
         """Rank-one update of ``T`` for column ``j`` entering in row ``r``.
 
-        ``rows`` are the other rows where column ``j`` is nonzero.  Only they
-        and the columns where row ``r`` is nonzero change; every other entry
-        would only have a zero subtracted from it.
+        ``rows`` are the other rows where column ``j`` is nonzero, and
+        ``cols`` the columns where row ``r`` is nonzero.  Only their entries
+        change; every other entry would only have a zero subtracted from it.
         """
         T = self.T
         pivot_row = T[r]
-        cols = pivot_row.nonzero()[0]
         pivot_row[cols] /= T[r, j]
         block = (rows[:, None] * self.N + cols).ravel()  # flat indices; T is C-ordered
         T.reshape(-1)[block] -= (T[rows, j][:, None] * pivot_row[cols]).ravel()
 
-    def exchange(self, r: int, j: int, t: float, leaving_status: int) -> None:
+    def exchange(self, r: int, j: int, t: float, leaving_status: int,
+                 rows: np.ndarray, cols: np.ndarray) -> None:
         """Move nonbasic column ``j`` by the signed step ``t``, then exchange
         it for the column basic in row ``r``, which rests at
-        ``leaving_status``.  Every 300 exchanges ``T`` is refactorised."""
+        ``leaving_status``, and update the reduced costs along the new row
+        ``r``.  ``rows`` are the rows where column ``j`` is nonzero and
+        ``cols`` the columns where row ``r`` is nonzero.  Every 300
+        exchanges ``T`` is refactorised."""
         beta = self.beta
         entering_value = self.nonbasic_value(j) + t
-        col = self.T[:, j]
-        nz = col.nonzero()[0]
-        beta[nz] -= col[nz] * t
+        beta[rows] -= self.T[rows, j] * t
         self.stat[self.basis[r]] = leaving_status
-        self.pivot(r, j, nz[nz != r])
+        self.pivot(r, j, rows[rows != r], cols)
+        self.d -= self.d[j] * self.T[r]
+        self.d[j] = 0.0
+        self.stale = True
         self.basis[r] = j
         self.stat[j] = _BASIC
         beta[r] = entering_value
@@ -310,8 +337,9 @@ class _Tableau:
         Entering candidates are tried in decreasing reduced-cost order;
         a candidate whose best ratio-test pivot element is too small for a
         stable basis change is skipped, so near-noise reduced costs cannot
-        corrupt the factorisation.  Returns "optimal" or "unbounded";
-        raises :class:`LpError` when the iteration limit is exceeded.
+        corrupt the factorisation.  "optimal" is decided on freshly priced
+        reduced costs only.  Returns "optimal" or "unbounded"; raises
+        :class:`LpError` when the iteration limit is exceeded.
         """
         lb, ub, stat, basis = self.lb, self.ub, self.stat, self.basis
         degenerate_streak = 0
@@ -320,14 +348,18 @@ class _Tableau:
         # |lb| where finite, the floor of a basic column's feasibility window.
         lb_scale = np.where(np.isfinite(lb), np.abs(lb), 0.0)
         self.exchanges = 0
+        if self.stale or c is not self.c:
+            self.price(c)
         for _ in range(self.max_iter):
-            T, beta = self.T, self.beta
-            d = c - c[basis] @ T
+            T, beta, d = self.T, self.beta, self.d
 
             rises, falls = self.directions(slice(None))
             up = rises & (d > _COST_EPS)
             eligible = (up | (falls & (d < -_COST_EPS))).nonzero()[0]
             if eligible.size == 0:
+                if self.stale:  # judge optimality on fresh prices only
+                    self.price(c)
+                    continue
                 return "optimal"
 
             if degenerate_streak > 40:  # Bland: lowest index, escape cycling
@@ -389,11 +421,14 @@ class _Tableau:
                 leave_val = beta[r] - T[r, j] * (direction * t)
                 near_lo = math.isfinite(lo) and abs(leave_val - lo) <= abs(leave_val - hi)
                 resting = _AT_UB if math.isfinite(hi) and not near_lo else _AT_LB
-                self.exchange(r, j, direction * t, resting)
+                self.exchange(r, j, direction * t, resting, nz, T[r].nonzero()[0])
                 degenerate_streak = degenerate_streak + 1 if t <= 1e-12 else 0
                 break
             else:
                 if not skipped_significant:
+                    if self.stale:
+                        self.price(c)
+                        continue
                     return "optimal"  # only noise-level candidates remain
                 # A significant candidate had no stable pivot: purge drift
                 # and retry a few times before failing loudly.
@@ -425,6 +460,8 @@ class _Tableau:
         """
         lb, ub, basis = self.lb, self.ub, self.basis
         self.exchanges = 0
+        if self.stale or c is not self.c:
+            self.price(c)
         for _ in range(self.max_iter):
             T, beta = self.T, self.beta
             below = lb[basis] - beta
@@ -439,23 +476,23 @@ class _Tableau:
             # The leaving column moves by -alpha_rj per unit that column j
             # moves, so it rises with a rising j where alpha_rj < 0 and with a
             # falling j where alpha_rj > 0, and the other way round to fall.
-            cols = T[r].nonzero()[0]
-            alpha = T[r, cols]
-            rises, falls = self.directions(cols)
+            row_nz = T[r].nonzero()[0]
+            alpha = T[r, row_nz]
+            rises, falls = self.directions(row_nz)
             toward = -alpha if rise else alpha
             ok = (np.abs(alpha) > _DUAL_PIVOT_TOL) & ((rises & (toward > 0.0)) | (falls & (toward < 0.0)))
-            cols, alpha = cols[ok], alpha[ok]
+            cols, alpha = row_nz[ok], alpha[ok]
             if cols.size == 0:
                 return "infeasible"
-            d = c[cols] - c[basis] @ T[:, cols]
-            ratio = np.abs(d) / np.abs(alpha)
+            ratio = np.abs(self.d[cols]) / np.abs(alpha)
             near = (ratio <= ratio.min() + 1e-12).nonzero()[0]
             p = int(near[np.abs(alpha[near]).argmax()])
 
             # Move the entering column just far enough to put the leaving
             # column on its bound.
-            self.exchange(r, int(cols[p]), (beta[r] - target) / alpha[p],
-                          _AT_LB if rise else _AT_UB)
+            j = int(cols[p])
+            self.exchange(r, j, (beta[r] - target) / alpha[p], _AT_LB if rise else _AT_UB,
+                          T[:, j].nonzero()[0], row_nz)
         raise LpError("iteration limit exceeded")
 
 

@@ -447,10 +447,10 @@ def test_warm_start_after_tightening_matches_highs(monkeypatch):
         self.repaired = warm_solve[0]
         return status
 
-    def counting(self, r, j, rows):
+    def counting(self, r, j, rows, cols):
         if getattr(self, "repaired", False):
             phase2_pivots.append(j)
-        pivot(self, r, j, rows)
+        pivot(self, r, j, rows, cols)
 
     monkeypatch.setattr(linprog._Tableau, "dual_simplex", marking)
     monkeypatch.setattr(linprog._Tableau, "pivot", counting)
@@ -489,9 +489,9 @@ def test_unchanged_program_resolves_from_its_basis_without_a_pivot(monkeypatch):
     pivots = []
     pivot = linprog._Tableau.pivot
 
-    def counting(self, r, j, rows):
+    def counting(self, r, j, rows, cols):
         pivots.append((r, j))
-        pivot(self, r, j, rows)
+        pivot(self, r, j, rows, cols)
 
     monkeypatch.setattr(linprog._Tableau, "pivot", counting)
     rng = random.Random(20261022)
@@ -532,7 +532,7 @@ def test_network_programs_match_highs(seed):
 class _DenseTableau(linprog._Tableau):
     """The rank-one update over the whole m x N tableau."""
 
-    def pivot(self, r, j, rows):
+    def pivot(self, r, j, rows, cols):
         self.T[r, :] /= self.T[r, j]
         colj = self.T[:, j].copy()
         colj[r] = 0.0
@@ -634,7 +634,7 @@ def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
     periodic refactorisations fall on its 300th, 600th, ... pivot whatever
     the other loop did before it.
 
-    At seed 0 the MPF and the MFF relaxation make 511 and 703 primal pivots.
+    At seed 0 the MPF and the MFF relaxation make 505 and 716 primal pivots.
     The MVF with six pinned flows pivots in both loops, with more pivots in
     the two together than 300 past the dual loop's last refactorisation;
     with every flow pinned, the dual loop alone passes 300.
@@ -653,9 +653,9 @@ def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
                 self.counts = None
         return running
 
-    def counting(self, r, j, rows):
+    def counting(self, r, j, rows, cols):
         self.counts[1] += 1
-        pivot(self, r, j, rows)
+        pivot(self, r, j, rows, cols)
 
     def recording(self):
         if getattr(self, "counts", None):  # not the start or the final check
@@ -683,3 +683,131 @@ def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
     assert any(first[0] == "dual_simplex" and second[0] == "simplex"
                and first[1] % 300 != 0 and first[1] % 300 + second[1] >= 300
                for first, second in zip(runs, runs[1:])), runs
+
+
+def _counting_pricings(monkeypatch) -> list[int]:
+    """Count every full pricing ``c - c_B T`` of nonzero costs (zero costs
+    need no product); returns the one-entry count."""
+    pricings = [0]
+    price = linprog._Tableau.price
+
+    def counting(self, c):
+        pricings[0] += bool(c.any())
+        price(self, c)
+
+    monkeypatch.setattr(linprog._Tableau, "price", counting)
+    return pricings
+
+
+def test_kept_reduced_costs_track_fresh_prices(monkeypatch):
+    """``exchange`` keeps the reduced costs up to date along the pivot row,
+    so after every exchange they equal ``c - c_B T`` on the current tableau,
+    and a solve prices from scratch only a handful of times: when a loop
+    starts on new costs or after exchanges, at each refactorisation and
+    before "optimal".
+
+    The seed-0 MPF and MFF relaxation make 505 and 716 primal pivots across
+    refactorisations; the child of the relaxation re-solves warm from the
+    root's basis, with the dual simplex pivoting on the program's costs.
+    """
+    pricings = _counting_pricings(monkeypatch)
+    exchanges, loops, refreshes = [0], [0], [0]
+    exchange, refresh = linprog._Tableau.exchange, linprog._Tableau.refresh
+    simplex, dual_simplex = linprog._Tableau.simplex, linprog._Tableau.dual_simplex
+
+    def checking(self, *args):
+        exchange(self, *args)
+        exchanges[0] += 1
+        fresh = self.c - self.c[self.basis] @ self.T
+        assert np.abs(self.d - fresh).max() <= 1e-9 * max(1.0, np.abs(self.c).max())
+
+    def counting_refresh(self):
+        refreshes[0] += 1
+        refresh(self)
+
+    def loop(run):
+        def running(self, c):
+            loops[0] += 1
+            return run(self, c)
+        return running
+
+    monkeypatch.setattr(linprog._Tableau, "exchange", checking)
+    monkeypatch.setattr(linprog._Tableau, "refresh", counting_refresh)
+    monkeypatch.setattr(linprog._Tableau, "simplex", loop(simplex))
+    monkeypatch.setattr(linprog._Tableau, "dual_simplex", loop(dual_simplex))
+
+    def counted(*args, **kwargs):
+        for count in (pricings, exchanges, loops, refreshes):
+            count[0] = 0
+        res = solve_lp(*args, **kwargs)
+        assert res.status == "optimal"
+        # Each loop prices at most twice, on entry and before "optimal".
+        assert pricings[0] <= 2 * loops[0] + refreshes[0], (pricings, loops, refreshes)
+        return res, exchanges[0], pricings[0]
+
+    net = random_meshed_zero_lower(0, max_buses=120)
+    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
+    relaxation, parts = build_mff_relaxation(net)
+    _, mpf_pivots, mpf_pricings = counted(mpf.lp)
+    root, root_pivots, root_pricings = counted(relaxation.lp)
+    assert min(mpf_pivots, root_pivots) > 300  # past a refactorisation
+    assert max(mpf_pricings, root_pricings) <= 6  # not one per pivot
+
+    # Pin the cone part carrying the most flow at the root, as a branch does.
+    key = max(parts, key=lambda k: abs(root.value(parts[k].fplus) - root.value(parts[k].fminus)))
+    bit = 0 if root.value(parts[key].fplus) > root.value(parts[key].fminus) else 1
+    overrides = {idx: (0.0, 0.0) for idx in parts[key].against(bit)}
+    child, child_pivots, child_pricings = counted(relaxation.lp, overrides, root.basis)
+    assert child_pivots > 0
+    assert child_pricings <= 4
+    assert child.objective <= root.objective + 1e-9
+
+
+def test_optimal_is_decided_on_fresh_prices(monkeypatch):
+    """Kept reduced costs that went wrong mid-run cannot end the solve: the
+    primal loop prices afresh before it reports "optimal", and goes on
+    pivoting from there."""
+    pytest.importorskip("scipy.optimize")
+    net = random_meshed_zero_lower(0, max_buses=120)
+    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
+    exchanges = [0]
+    exchange = linprog._Tableau.exchange
+
+    def forgetting(self, *args):
+        exchange(self, *args)
+        exchanges[0] += 1
+        if exchanges[0] == 100:
+            self.d[:] = 0.0  # no column looks eligible any more
+
+    monkeypatch.setattr(linprog._Tableau, "exchange", forgetting)
+    ours = solve_lp(mpf.lp)
+    status, value = _highs(mpf.lp)
+    assert (ours.status, status) == ("optimal", "optimal")
+    assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+    assert exchanges[0] > 100
+
+
+def test_entering_column_without_a_stable_pivot_fails_loudly(monkeypatch):
+    """In max x s.t. 1e-9 x <= 1, x >= 0 the only eligible column has a
+    significant reduced cost but a pivot element below the stable pivot
+    threshold.  The primal loop refactorises (and re-prices) three times in
+    the hope that drift caused it, then raises on the fourth attempt."""
+    pricings = _counting_pricings(monkeypatch)
+    refreshes = []  # the pricing count after each refactorisation
+    refresh = linprog._Tableau.refresh
+
+    def recording(self):
+        before = pricings[0]
+        refresh(self)
+        assert pricings[0] == before + 1
+        refreshes.append(pricings[0])
+
+    monkeypatch.setattr(linprog._Tableau, "refresh", recording)
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    lp.add_constraint({x: 1e-9}, "<=", 1.0)
+    lp.set_objective({x: 1.0})
+    with pytest.raises(LpError, match="no numerically stable pivot available"):
+        solve_lp(lp)
+    assert refreshes == [2, 3, 4]  # the phase 2 start priced first
+    assert pricings[0] == 4
