@@ -64,7 +64,8 @@ def _cmd_convert(args) -> int:
     net = caseio.to_network(raw)
     _write(args.output, caseio.serialize_network(net))
     if args.output:
-        print(f"wrote {args.output}: {len(net.buses)} buses, {len(net.lines)} lines")
+        print(f"wrote {args.output}: {len(net.buses)} buses, {len(net.lines)} lines",
+              file=sys.stderr)
     return 0
 
 

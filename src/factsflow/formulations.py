@@ -279,8 +279,7 @@ def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConePart
     return builder, builder.parts
 
 
-def solve_mvf(net: Network, bits: Mapping[LineId, int],
-              pinned_flows: Mapping[LineId, float] | None = None) -> LdcSolution | None:
+def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
     """Maximum throughput with angle-difference directions pinned by ``bits``.
 
     Bit 1 on controllable line ``(a, b)`` means ``theta[b] - theta[a] >=
@@ -290,14 +289,10 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
     (:func:`build_mff_relaxation`) with each line's opposite cone parts
     pinned at zero, so susceptances float inside their intervals, with
     ``UNBOUNDED_S_CAP`` standing in for an infinite ``s_max`` (see the
-    constant's note).  ``pinned_flows`` fixes selected line flows at exact
-    values (used by verification sweeps); only then can the program be
-    infeasible, which is reported as ``None`` rather than an error.  A
-    vertex with flow across a vanishing angle part maps back to no
-    susceptance and raises :class:`LpError`.
+    constant's note).  A vertex with flow across a vanishing angle part maps
+    back to no susceptance and raises :class:`LpError`.
     """
     builder, parts = build_mff_relaxation(net)
-    lp = builder.lp
     overrides: dict[int, tuple[float, float]] = {}
     for key, p in parts.items():
         bit = bits.get(key)
@@ -305,15 +300,7 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
             raise InputError(f"controllable line {key[0]}-{key[1]} needs direction bit 0 or 1, "
                              f"not {bit!r}")
         overrides.update(dict.fromkeys(p.against(bit), (0.0, 0.0)))
-    for key, value in (pinned_flows or {}).items():
-        if key not in builder.flow:
-            raise InputError(f"pinned flow references unknown line {key!r}")
-        overrides[builder.flow[key]] = (float(value), float(value))
-    if any(not lp.lb[j] <= lo <= lp.ub[j] for j, (lo, _) in overrides.items()):
-        return None  # a pin beyond its line's capacity, which the override replaces
-    res = solve_lp(lp, overrides)
-    if res.status == "infeasible" and pinned_flows:
-        return None
+    res = solve_lp(builder.lp, overrides)
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
     sol = builder.solution(res.x, {key: bits[key] for key in parts})

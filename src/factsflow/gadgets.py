@@ -20,48 +20,33 @@ lines plus a single controllable line:
   letting full absorption win back exactly the displaced generation.
 
 Equal-capacity padding (an isolated generator-load pair) tops the inner
-optimum up to ``6.1 x``.  The construction is certified *behaviourally* by
-:func:`verify_choice` — a sweep that pins the port emission and checks the
-two-point optimality — never assumed.
+optimum up to ``6.1 x``.  This module only builds networks.  The
+construction is certified *behaviourally*, never assumed, by the test
+helpers in ``tests/gadget_checks.py``: a sweep that pins the port emission
+and checks the two-point optimality, and exact solves of the exact-cover
+encoding compared against a brute-force decision.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import Bus, BusKind, InputError, Line, Network
-from .mip import MffConfig, MffResult, enumerate_signs_oracle, solve_mff
 
 __all__ = [
     "GadgetParts",
-    "ChoiceBuilder",
     "ChoiceNetwork",
-    "ChoiceVerification",
     "ExactCoverInstance",
     "ReductionNetwork",
-    "ReductionCheck",
     "default_choice_builder",
     "build_choice_network",
-    "verify_choice",
     "build_exact_cover_network",
-    "check_reduction",
-    "exact_cover_brute_force",
 ]
 
-_PROBE = "__probe__"
 #: Id of the port bus of a standalone choice network.
 _PORT = "p"
-#: Port emissions swept by :func:`verify_choice`, as a share of ``x``.
-_GRID_STEP = Fraction(1, 20)
-#: Objective tolerance of the two-point optimality check.
-_VERIFY_TOL = 1e-6
-#: Controllable lines the enumeration in :func:`verify_choice` accepts.
-_MAX_LINES = 16
-#: Search settings of :func:`check_reduction`.
-_REDUCTION_CONFIG = MffConfig(gap_tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -71,14 +56,12 @@ class GadgetParts:
     expected_inner_opt: Fraction
 
 
-#: A builder receives the scale ``x``, the id of the (externally owned) port
-#: bus and a namespace prefix for its internal bus ids, and returns the
-#: buses and lines to graft onto the network.
-ChoiceBuilder = Callable[[Fraction, str, str], GadgetParts]
-
-
 def default_choice_builder(x: Fraction, port: str, ns: str) -> GadgetParts:
     """The in-house choice gadget, inner optimum ``6.1 x``.
+
+    Takes the scale ``x``, the id of the (externally owned) port bus and a
+    namespace prefix for the gadget's own bus ids, and returns the buses and
+    lines to graft onto the network.
 
     Mechanics at scale 1 (everything multiplies by ``x``): the splitter
     generator feeds the port with ``w`` and the absorption bus with
@@ -171,85 +154,16 @@ class ChoiceNetwork:
     expected_inner_opt: Fraction
 
 
-def build_choice_network(x: Fraction | float,
-                         builder: ChoiceBuilder | None = None) -> ChoiceNetwork:
-    """Materialise a standalone choice network with its port bus ``p``.
+def build_choice_network(x: Fraction | float) -> ChoiceNetwork:
+    """Materialise a standalone default choice network with its port bus ``p``.
 
-    Nothing here checks the behaviour; :func:`verify_choice` does.
+    Nothing here checks the behaviour; the emission sweep in
+    ``tests/gadget_checks.py`` does.
     """
-    builder = builder or default_choice_builder
     x = Fraction(x).limit_denominator(10**9)
-    parts = builder(x, _PORT, f"{_PORT}.")
+    parts = default_choice_builder(x, _PORT, f"{_PORT}.")
     net = Network(buses=(Bus(_PORT),) + tuple(parts.buses), lines=tuple(parts.lines))
     return ChoiceNetwork(net=net, port=_PORT, expected_inner_opt=parts.expected_inner_opt)
-
-
-@dataclass
-class ChoiceVerification:
-    passed: bool
-    inner_opt: float
-    optimal_emissions: list[float]
-    curve: list[tuple[float, float]]
-    grid_step: float
-    messages: list[str] = field(default_factory=list)
-
-
-def verify_choice(net: Network, port: str, x: Fraction | float,
-                  expected: Fraction | None = None) -> ChoiceVerification:
-    """Certify the all-or-nothing emission behaviour of a gadget.
-
-    A probe load of capacity ``x`` is attached at the port through a fixed
-    line, the probe flow is pinned to each grid value ``w`` in turn
-    (granularity ``x / 20``, endpoints included), and the exact optimum is
-    computed by direction enumeration.  The gadget passes when the maximum
-    is attained, within 1e-6, exactly at ``w = 0`` and ``w = x`` and every
-    interior grid point is strictly worse.
-    """
-    x = Fraction(x).limit_denominator(10**9)
-    if x <= 0:
-        raise InputError("port quantum x must be positive")
-    probe_net = Network(
-        buses=net.buses + (Bus(_PROBE, BusKind.LOAD),),
-        lines=net.lines + (Line(port, _PROBE, 1, 1, float(x)),),
-    )
-    probe_key = (port, _PROBE)
-
-    steps = int(1 / _GRID_STEP)
-    ws = [x * Fraction(k, steps) for k in range(steps + 1)]
-    curve: list[tuple[float, float]] = []
-    for w in ws:
-        res = enumerate_signs_oracle(probe_net, max_lines=_MAX_LINES,
-                                     pinned_flows={probe_key: float(w)})
-        curve.append((float(w), res.value))
-
-    best = max(v for _, v in curve)
-    messages: list[str] = []
-    end_lo, end_hi = curve[0][1], curve[-1][1]
-    passed = True
-    if end_lo < best - _VERIFY_TOL:
-        passed = False
-        messages.append(f"zero emission is suboptimal: {end_lo} < {best}")
-    if end_hi < best - _VERIFY_TOL:
-        passed = False
-        messages.append(f"full emission is suboptimal: {end_hi} < {best}")
-    optimal = [w for w, v in curve if v >= best - _VERIFY_TOL]
-    for w, v in curve[1:-1]:
-        if v >= best - _VERIFY_TOL:
-            passed = False
-            messages.append(f"interior emission {w} ties the optimum ({v})")
-    if expected is not None and abs(end_lo - float(expected)) > _VERIFY_TOL:
-        passed = False
-        messages.append(
-            f"inner optimum {end_lo} differs from expected {float(expected)}"
-        )
-    return ChoiceVerification(
-        passed=passed,
-        inner_opt=best,
-        optimal_emissions=optimal,
-        curve=curve,
-        grid_step=float(_GRID_STEP),
-        messages=messages,
-    )
 
 
 @dataclass(frozen=True)
@@ -279,17 +193,6 @@ class ExactCoverInstance:
     @classmethod
     def from_lists(cls, ground: Sequence[str], sets: Sequence[Sequence[str]]):
         return cls(ground=tuple(ground), sets=tuple(tuple(s) for s in sets))
-
-
-def exact_cover_brute_force(inst: ExactCoverInstance) -> bool:
-    """Decide cover-ability by subset enumeration (reference decision)."""
-    ground = set(inst.ground)
-    for r in range(len(inst.sets) + 1):
-        for combo in itertools.combinations(inst.sets, r):
-            picked = [e for subset in combo for e in subset]
-            if len(picked) == len(set(picked)) and set(picked) == ground:
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -332,36 +235,3 @@ def build_exact_cover_network(inst: ExactCoverInstance) -> ReductionNetwork:
     net = Network(buses=tuple(buses), lines=tuple(lines))
     target = Fraction(3) + Fraction(183, 10) * len(inst.sets) + len(inst.ground)
     return ReductionNetwork(net=net, target=target, ports=tuple(ports))
-
-
-@dataclass
-class ReductionCheck:
-    mff: float
-    target: Fraction
-    reaches_target: bool
-    status: str  # "ok" | "indeterminate"
-    result: MffResult
-
-
-def check_reduction(inst: ExactCoverInstance) -> ReductionCheck:
-    """Solve the encoding exactly and compare against the target value.
-
-    ``reaches_target`` should match :func:`exact_cover_brute_force`, since
-    the default gadget passes :func:`verify_choice`.  The verdict is
-    conclusive only when the incumbent reaches the target (a feasible lower
-    bound) or the upper bound falls short of it, however the search ended;
-    anything else, such as a search that stopped at its gap with the bound
-    still at or above the target, is reported ``indeterminate``.
-    """
-    encoding = build_exact_cover_network(inst)
-    result = solve_mff(encoding.net, _REDUCTION_CONFIG)
-    goal = float(encoding.target)
-    reaches = result.objective >= goal - 1e-6
-    conclusive = reaches or result.upper_bound < goal - 1e-6
-    return ReductionCheck(
-        mff=result.objective,
-        target=encoding.target,
-        reaches_target=reaches,
-        status="ok" if conclusive else "indeterminate",
-        result=result,
-    )

@@ -19,9 +19,14 @@ flow into nonnegative parts, one pair per cone,
     f = fplus - fminus
     flow balance at every bus, |f| <= capacity
 
-is the exact convex-hull relaxation of the disjunction (Balas, "Disjunctive
-programming: properties of the convex hull of feasible points", Discrete
-Appl. Math. 89, 1998).  It needs no binary variable and no big-M.
+relaxes the disjunction through the hull of the two *unbounded* cones
+(Balas, "Disjunctive programming: properties of the convex hull of feasible
+points", Discrete Appl. Math. 89, 1998), with no binary variable and no
+big-M.  It is not the hull of the capacity-bounded sets the model has: the
+capacity bound acts only on ``f``, and when ``s_min < s_hi`` the two cones
+sum to the whole ``(dtheta, f)`` plane.  So the root bound equals that of
+the program with the controllable lines' power law deleted; only branching
+ties a line's flow to its angles.
 
 The exact optimum is found by branch and bound over the direction of each
 controllable line: bit 1 pins ``dminus`` and ``fminus`` at zero, bit 0 pins
@@ -56,7 +61,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from .linprog import LpBasis, LpError, solve_lp
 from .model import DEFAULT_TOL, InputError, LdcSolution, Network, validate_solution
@@ -217,9 +221,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     )
 
 
-def enumerate_signs_oracle(net: Network, max_lines: int = 16,
-                           pinned_flows: Mapping[LineId, float] | None = None
-                           ) -> LdcSolution:
+def enumerate_signs_oracle(net: Network, max_lines: int = 16) -> LdcSolution:
     """Brute-force reference optimum by direction enumeration.
 
     Every operating point induces a direction bit per controllable line, so
@@ -235,11 +237,7 @@ def enumerate_signs_oracle(net: Network, max_lines: int = 16,
         )
     best: LdcSolution | None = None
     for combo in itertools.product((0, 1), repeat=len(keys)):
-        result = solve_mvf(net, dict(zip(keys, combo)), pinned_flows=pinned_flows)
-        if result is None:
-            continue  # pinned flows incompatible with this direction choice
+        result = solve_mvf(net, dict(zip(keys, combo)))
         if best is None or result.value > best.value:
             best = result
-    if best is None:
-        raise InputError("pinned flows are infeasible under every direction choice")
     return best

@@ -195,7 +195,7 @@ def degenerate_choice_builder(x: Fraction, port: str, ns: str) -> GadgetParts:
 
     Its emission response is strictly monotone (every emitted unit is pure
     gain), so it has a single optimum at full emission and must be rejected
-    by ``verify_choice``.
+    by ``gadget_checks.verify_choice``.
     """
     X = Fraction(x)
     buses = (Bus(f"{ns}src", BusKind.GENERATOR),)

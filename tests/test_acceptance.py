@@ -16,21 +16,20 @@ from factsflow.formulations import midpoint_susceptances, solve_mpf
 from factsflow.maxflow import LiftFailure, max_flow, mff_via_lemma
 from factsflow.mip import MffConfig, enumerate_signs_oracle, solve_mff
 from factsflow.iterative import multi_start_im
-from factsflow.gadgets import (
-    ExactCoverInstance,
-    build_choice_network,
-    check_reduction,
-    exact_cover_brute_force,
-    verify_choice,
-)
+from factsflow.gadgets import ExactCoverInstance, build_choice_network
 
 from conftest import (
-    degenerate_choice_builder,
     random_meshed_zero_lower,
     random_small_net,
     random_tree,
     random_unbounded_upper,
     tri_network,
+)
+from gadget_checks import (
+    check_reduction,
+    degenerate_choice_network,
+    exact_cover_brute_force,
+    verify_choice,
 )
 
 TOL = 1e-6
@@ -276,7 +275,7 @@ def test_criterion_6_gadget_verification_and_reduction():
     assert outcome.passed, outcome.messages
     assert outcome.optimal_emissions == [0.0, 3.0]
 
-    control = build_choice_network(1, builder=degenerate_choice_builder)
+    control = degenerate_choice_network(1)
     assert not verify_choice(control.net, control.port, 1).passed
 
     # Exact rational targets.

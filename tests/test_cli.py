@@ -50,6 +50,15 @@ def test_convert_writes_valid_network(workdir):
     assert len(net.lines) == 6
 
 
+def test_convert_to_a_file_keeps_stdout_empty(tmp_path, capsys):
+    case = tmp_path / "toy.m"
+    case.write_text(CASE)
+    assert run_command(["convert", str(case), "-o", str(tmp_path / "toy.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wrote" in captured.err
+
+
 def test_solver_commands_agree(workdir, capsys):
     net_path = str(workdir / "toy.json")
     assert run_command(["mpf", net_path]) == 0

@@ -97,14 +97,6 @@ class TestSolveMvf:
             flipped = {key: bit if key in facts else 1 - bit for key, bit in pattern.items()}
             assert solve_mvf(net, flipped).value == solve_mvf(net, pattern).value
 
-    def test_infeasible_pin_reports_none(self, single_line):
-        assert solve_mvf(single_line, {("g", "l"): 1},
-                         pinned_flows={("g", "l"): 99.0}) is None
-
-    def test_pin_on_unknown_line_rejected(self, single_line):
-        with pytest.raises(InputError):
-            solve_mvf(single_line, {}, pinned_flows={("l", "g"): 1.0})
-
 
 def _highs_mvf(net: Network, bits) -> float:
     """MVF written straight from ``net`` and solved by scipy's HiGHS.

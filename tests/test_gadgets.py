@@ -5,19 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from factsflow import gadgets
 from factsflow.model import InputError, validate_network
 from factsflow.gadgets import (
     ExactCoverInstance,
     build_choice_network,
     build_exact_cover_network,
+)
+
+import gadget_checks
+from gadget_checks import (
     check_reduction,
-    default_choice_builder,
+    degenerate_choice_network,
     exact_cover_brute_force,
+    pinned_optimum,
     verify_choice,
 )
 
-from conftest import degenerate_choice_builder
+from conftest import tri_network
 
 
 class TestDefaultBuilder:
@@ -53,9 +57,25 @@ class TestDefaultBuilder:
         assert one.passed == two.passed
 
 
+class TestPinnedOptimum:
+    """The sweep's own pinning, on ``tri_network(facts=True)``: flow on the
+    controllable g-l line needs ``theta[l] >= theta[g]``, bit 1."""
+
+    def test_pattern_that_cannot_carry_the_pin_is_skipped(self):
+        # Bit 0 caps the g-l flow at 0 and is infeasible; under bit 1 the
+        # angle difference is at most 5 / s_min, and g-b-l carries half of it.
+        assert pinned_optimum(tri_network(facts=True), ("g", "l"), 5.0) == pytest.approx(7.5)
+
+    def test_pin_no_pattern_can_carry_raises(self):
+        # Flow from the load back into the generator: the load would go
+        # negative under either direction.
+        with pytest.raises(ValueError, match="every direction choice"):
+            pinned_optimum(tri_network(facts=True), ("g", "l"), -1.0)
+
+
 class TestNegativeControl:
     def test_plain_generator_fails_verification(self):
-        built = build_choice_network(1, builder=degenerate_choice_builder)
+        built = degenerate_choice_network(1)
         outcome = verify_choice(built.net, built.port, 1)
         assert not outcome.passed
         assert outcome.optimal_emissions == [1.0]
@@ -158,14 +178,14 @@ class TestCheckReduction:
         reaches the target or its upper bound falls short of it."""
         inst = ExactCoverInstance.from_lists(["a", "b", "c"], [["a", "b", "c"]])
         goal = float(build_exact_cover_network(inst).target)
-        solve_mff = gadgets.solve_mff
+        solve_mff = gadget_checks.solve_mff
 
         def stopped_at_gap(net, config=None, warm_start=None):
             result = solve_mff(net, config, warm_start)
             return dataclasses.replace(result, objective=goal + objective,
                                        upper_bound=goal + upper, termination="gap_reached")
 
-        monkeypatch.setattr(gadgets, "solve_mff", stopped_at_gap)
+        monkeypatch.setattr(gadget_checks, "solve_mff", stopped_at_gap)
         check = check_reduction(inst)
         assert check.status == expected
         assert check.reaches_target == (objective == 0.0)

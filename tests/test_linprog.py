@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from factsflow import formulations, linprog
+from factsflow import linprog
 from factsflow.formulations import (
     build_mff_relaxation,
     build_mpf_program,
@@ -18,6 +18,7 @@ from factsflow.formulations import (
 from factsflow.linprog import LinearProgram, LpError, lp_format, solve_lp
 
 from conftest import random_meshed_zero_lower
+from gadget_checks import pinned_overrides
 
 INF = math.inf
 
@@ -556,7 +557,7 @@ def test_sparse_pivot_matches_the_dense_update(monkeypatch, seed, program):
     assert np.array_equal(sparse.x, dense.x)
 
 
-def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
+def test_mvf_with_pinned_flows_matches_highs():
     """Pinned flows are nonzero fixed bounds that break rows at zero, so this
     program's cold solve pivots in the dual simplex before phase 2."""
     pytest.importorskip("scipy.optimize")
@@ -566,17 +567,11 @@ def test_mvf_with_pinned_flows_matches_highs(monkeypatch):
     # Half the MPF point is feasible for its own directions.
     pinned = {key: 0.5 * f for key, f in flows.items() if abs(f) > 1e-6}
     pinned = dict(list(pinned.items())[:6])
-    solved = []
-
-    def recording(lp, bound_overrides=None):
-        solved.append((lp, bound_overrides, solve_lp(lp, bound_overrides)))
-        return solved[-1][2]
-
-    monkeypatch.setattr(formulations, "solve_lp", recording)
-    assert formulations.solve_mvf(net, extract_signs(net, mpf.theta), pinned_flows=pinned)
-    ((lp, overrides, ours),) = solved
+    builder, _ = build_mff_relaxation(net)
+    overrides = pinned_overrides(builder, extract_signs(net, mpf.theta), pinned)
+    ours = solve_lp(builder.lp, overrides)
     assert any(lo == hi != 0.0 for lo, hi in overrides.values())
-    status, value = _highs(lp, overrides)
+    status, value = _highs(builder.lp, overrides)
     assert (ours.status, status) == ("optimal", "optimal")
     assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
 
@@ -672,9 +667,11 @@ def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
     for lp in (mpf.lp, relaxation.lp):
         assert solve_lp(lp).status == "optimal"
     point = solve_mpf(net, midpoint_susceptances(net))
+    bits = extract_signs(net, point.theta)
     flows = {key: 0.5 * f for key, f in point.injections.flow.items() if abs(f) > 1e-6}
     for pinned in (dict(list(flows.items())[:6]), flows):
-        assert formulations.solve_mvf(net, extract_signs(net, point.theta), pinned_flows=pinned)
+        overrides = pinned_overrides(relaxation, bits, pinned)
+        assert solve_lp(relaxation.lp, overrides).status == "optimal"
 
     for name, pivots, refreshes in runs:
         assert refreshes == list(range(300, pivots + 1, 300)), (name, pivots, refreshes)
