@@ -13,8 +13,7 @@ disjunctive mixed-integer problem.  The pieces:
 * :mod:`factsflow.maxflow` — classic max flow (MF) and constructive lifts
   for the special cases where it equals the exact optimum;
 * :mod:`factsflow.mip` — the exact solver (MFF) by branch and bound on the
-  cone-sum relaxation, plus a direction-enumeration oracle for small
-  instances;
+  cone-sum relaxation;
 * :mod:`factsflow.iterative` — the alternating heuristic (IM) and its
   three-start variant;
 * :mod:`factsflow.gadgets` — all-or-nothing choice networks and the
@@ -44,7 +43,7 @@ from .formulations import (
     solve_mvf,
 )
 from .maxflow import max_flow, cancel_cycles, lift_flow_to_ldc, mff_via_lemma
-from .mip import MffConfig, MffResult, enumerate_signs_oracle, solve_mff
+from .mip import MffConfig, MffResult, solve_mff
 from .iterative import multi_start_im, solve_im
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "mff_via_lemma",
     "MffConfig",
     "MffResult",
-    "enumerate_signs_oracle",
     "solve_mff",
     "multi_start_im",
     "solve_im",

@@ -84,7 +84,7 @@ def _cmd_mpf(args) -> int:
     net = _load_network(args.network)
     s = start_susceptances(net, args.at)
     if args.dump_lp:
-        builder, _ = build_mpf_program(net, s)
+        builder = build_mpf_program(net, s)
         _write(args.dump_lp, lp_format(builder.lp) + "\n")
     result = solve_mpf(net, s)
     print(f"{result.value:.6f}")
@@ -119,7 +119,7 @@ def _cmd_mff(args) -> int:
         with open(args.warm_start, "r", encoding="utf-8") as fh:
             warm = caseio.deserialize_solution(fh.read())
     if args.dump_lp:
-        builder, _ = build_mff_relaxation(net)
+        builder = build_mff_relaxation(net)
         _write(args.dump_lp, lp_format(builder.lp) + "\n")
     config = MffConfig(
         gap_tol=args.gap,

@@ -1,8 +1,10 @@
 """Network programs: one builder, and the throughput LPs built on it.
 
 :class:`NetworkLp` builds every network program (MPF, the MFF relaxation
-and MVF here, the lift and the alternative flow in :mod:`factsflow.maxflow`)
-and reads its vertices back as operating points.
+and MVF here, the lift and the alternative flow in :mod:`factsflow.maxflow`),
+gives the bounds that pin a controllable line's direction, and reads its
+vertices back as operating points.  It is the only code that knows how a
+controllable line's power law is laid out in cone parts.
 
 Two linear programs are the workhorses of the whole package:
 
@@ -35,7 +37,6 @@ from .model import (
 )
 
 __all__ = [
-    "ConeParts",
     "NetworkLp",
     "UNBOUNDED_S_CAP",
     "build_mff_relaxation",
@@ -72,10 +73,6 @@ class ConeParts(NamedTuple):
     fplus: int
     fminus: int
 
-    def against(self, bit: int) -> tuple[int, int]:
-        """The parts that direction ``bit`` pins at zero."""
-        return (self.dminus, self.fminus) if bit == 1 else (self.dplus, self.fplus)
-
 
 def _cone_ceiling(ln: Line) -> float:
     """The top ``s_hi`` of line ``ln``'s direction cones: ``s_max``, or
@@ -85,7 +82,8 @@ def _cone_ceiling(ln: Line) -> float:
 
 class NetworkLp:
     """Theta / gen / load / flow variables, each line's power law and the
-    balance rows of a network program; reads its vertices back."""
+    balance rows of a network program; pins directions and reads its
+    vertices back.  Only this class knows the layout of the cone parts."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -111,8 +109,10 @@ class NetworkLp:
             self.flow[ln.key] = self.lp.add_var(
                 f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity
             )
-        #: The cone parts of each controllable line.
-        self.parts: dict[LineId, ConeParts] = {}
+        # The cone parts of each line written as a cone sum, and the
+        # susceptance of each line written with a fixed ``s``.
+        self._parts: dict[LineId, ConeParts] = {}
+        self._fixed: dict[LineId, float] = {}
 
     def add_power_law(self, ln: Line, s: float | None = None) -> None:
         """Write line ``ln``'s power law.
@@ -130,6 +130,7 @@ class NetworkLp:
         ta, tb = self.theta[ln.a], self.theta[ln.b]
         tag = f"{ln.a}-{ln.b}"
         if s is not None:
+            self._fixed[ln.key] = s
             if s > 1.0:  # scale large susceptances out of the row for conditioning
                 lp.add_constraint({f: 1.0 / s, tb: -1.0, ta: 1.0}, "=", 0.0)
             else:
@@ -149,7 +150,7 @@ class NetworkLp:
         cone(parts.dplus, parts.fplus)
         cone(parts.dminus, parts.fminus)
         lp.add_constraint({f: 1.0, parts.fplus: -1.0, parts.fminus: 1.0}, "=", 0.0)
-        self.parts[ln.key] = parts
+        self._parts[ln.key] = parts
 
     def add_balance_rows(self) -> None:
         per_bus: dict[str, dict[int, float]] = {b.id: {} for b in self.net.buses}
@@ -168,9 +169,21 @@ class NetworkLp:
     def set_throughput_objective(self) -> None:
         self.lp.set_objective({idx: 1.0 for idx in self.gen.values()})
 
+    def pin(self, bits: Mapping[LineId, int]) -> dict[int, tuple[float, float]]:
+        """Bound overrides that hold each line to the direction of its bit:
+        bit 1 pins ``dminus`` and ``fminus`` at zero, bit 0 ``dplus`` and
+        ``fplus``.  Bits of lines without cone parts are skipped."""
+        overrides: dict[int, tuple[float, float]] = {}
+        for key, bit in bits.items():
+            p = self._parts.get(key)
+            if p is not None:
+                against = (p.dminus, p.fminus) if bit == 1 else (p.dplus, p.fplus)
+                overrides.update(dict.fromkeys(against, (0.0, 0.0)))
+        return overrides
+
     def _dtheta(self, ln: Line, x) -> float:
         """Line ``ln``'s angle difference at ``x``, from its own angle parts."""
-        p = self.parts[ln.key]
+        p = self._parts[ln.key]
         return float(x[p.dplus]) - float(x[p.dminus])
 
     def cone_bit(self, ln: Line, x) -> int | None:
@@ -185,32 +198,36 @@ class NetworkLp:
                 return bit
         return None
 
-    def solution(self, x, bits: Mapping[LineId, int]) -> LdcSolution | None:
+    def cone_split(self, ln: Line, x) -> tuple[float, float]:
+        """How much of line ``ln``'s point at ``x`` each direction's cone
+        holds: ``(dplus + fplus, dminus + fminus)``."""
+        p = self._parts[ln.key]
+        return float(x[p.dplus] + x[p.fplus]), float(x[p.dminus] + x[p.fminus])
+
+    def solution(self, x, bits: Mapping[LineId, int] | None = None) -> LdcSolution | None:
         """The operating point at vertex ``x`` with line directions ``bits``.
 
-        A line with a bit takes the susceptance of its flow over its angle
-        difference in that direction (:func:`directed_susceptance`); a line
-        without one takes ``s_min``, as a fixed line or at the all-zero
-        vertex.  ``None`` when flow crosses a vanishing angle difference.
+        A line written with a fixed ``s`` takes it, and a bit given for it
+        is ignored.  A line with cone parts and a bit takes the susceptance
+        of its flow over its angle difference in that direction
+        (:func:`directed_susceptance`); any other line takes ``s_min``, as
+        at the all-zero vertex.  ``None`` when flow crosses a vanishing
+        angle difference.
         """
+        bits = bits or {}
         suscept: dict[LineId, float] = {}
         for ln in self.net.lines:
+            s = self._fixed.get(ln.key)
             bit = bits.get(ln.key)
-            if bit is None:
-                suscept[ln.key] = ln.s_min
-                continue
-            sgn = 1.0 if bit == 1 else -1.0
-            s = directed_susceptance(ln, sgn * self._dtheta(ln, x),
-                                     abs(float(x[self.flow[ln.key]])))
-            if s is None:
-                return None
-            suscept[ln.key] = s
-        return self.extract(x, suscept)
-
-    def extract(self, x, susceptance: dict[LineId, float]) -> LdcSolution:
-        """The operating point of the program's solution ``x``."""
+            if s is None and bit is not None:
+                sgn = 1.0 if bit == 1 else -1.0
+                s = directed_susceptance(ln, sgn * self._dtheta(ln, x),
+                                         abs(float(x[self.flow[ln.key]])))
+                if s is None:
+                    return None
+            suscept[ln.key] = ln.s_min if s is None else s
         return LdcSolution(
-            susceptance=susceptance,
+            susceptance=suscept,
             theta={b: float(x[i]) for b, i in self.theta.items()},
             injections=InjectionSolution(
                 flow={k: float(x[i]) for k, i in self.flow.items()},
@@ -231,24 +248,21 @@ def midpoint_susceptances(net: Network) -> dict[LineId, float]:
     return out
 
 
-def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None
-                      ) -> tuple[NetworkLp, dict[LineId, float]]:
-    """The fixed-susceptance LP and the validated susceptance point."""
-    s = dict(s) if s is not None else {}
-    pinned: dict[LineId, float] = {}
+def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None) -> NetworkLp:
+    """The fixed-susceptance LP at the susceptance point ``s``, checked
+    against each line's interval; omitted lines take ``s_min``."""
+    s = s or {}
+    builder = NetworkLp(net)
     for ln in net.lines:
         val = float(s.get(ln.key, ln.s_min))
         if not (ln.s_min - 1e-12 <= val <= ln.s_max + 1e-12):
             raise InputError(
                 f"susceptance {val} for line {ln.a}-{ln.b} outside [{ln.s_min}, {ln.s_max}]"
             )
-        pinned[ln.key] = val
-    builder = NetworkLp(net)
-    for ln in net.lines:
-        builder.add_power_law(ln, s=pinned[ln.key])
+        builder.add_power_law(ln, s=val)
     builder.add_balance_rows()
     builder.set_throughput_objective()
-    return builder, pinned
+    return builder
 
 
 def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> LdcSolution:
@@ -257,26 +271,22 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> LdcSolut
     ``s`` must lie inside each line's interval; lines omitted from ``s``
     default to ``s_min``.  Never infeasible (the zero point always works).
     """
-    builder, pinned = build_mpf_program(net, s)
+    builder = build_mpf_program(net, s)
     res = solve_lp(builder.lp)
     if res.status != "optimal":
         raise LpError(f"fixed-susceptance solve returned {res.status}")
-    return builder.extract(res.x, pinned)
+    return builder.solution(res.x)
 
 
-def build_mff_relaxation(net: Network) -> tuple[NetworkLp, dict[LineId, ConeParts]]:
+def build_mff_relaxation(net: Network) -> NetworkLp:
     """The cone-sum relaxation that every branch-and-bound node and every
-    MVF solves.
-
-    Returns the program's builder and the cone parts of each controllable
-    line.
-    """
+    MVF solves, under the bounds :meth:`NetworkLp.pin` gives."""
     builder = NetworkLp(net)
     for ln in net.lines:
         builder.add_power_law(ln, s=None if ln.is_facts else ln.s_min)
     builder.add_balance_rows()
     builder.set_throughput_objective()
-    return builder, builder.parts
+    return builder
 
 
 def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
@@ -292,18 +302,16 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
     constant's note).  A vertex with flow across a vanishing angle part maps
     back to no susceptance and raises :class:`LpError`.
     """
-    builder, parts = build_mff_relaxation(net)
-    overrides: dict[int, tuple[float, float]] = {}
-    for key, p in parts.items():
-        bit = bits.get(key)
+    for ln in net.facts_lines():
+        bit = bits.get(ln.key)
         if bit not in (0, 1):
-            raise InputError(f"controllable line {key[0]}-{key[1]} needs direction bit 0 or 1, "
+            raise InputError(f"controllable line {ln.a}-{ln.b} needs direction bit 0 or 1, "
                              f"not {bit!r}")
-        overrides.update(dict.fromkeys(p.against(bit), (0.0, 0.0)))
-    res = solve_lp(builder.lp, overrides)
+    builder = build_mff_relaxation(net)
+    res = solve_lp(builder.lp, builder.pin(bits))
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
-    sol = builder.solution(res.x, {key: bits[key] for key in parts})
+    sol = builder.solution(res.x, bits)
     if sol is None:
         raise LpError("fixed-direction vertex has flow across a vanishing angle difference")
     return sol

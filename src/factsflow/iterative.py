@@ -109,7 +109,7 @@ class _SolvedPrograms:
         self.net = net
         self._facts = net.facts_lines()
         self._mpf: dict[tuple, LdcSolution] = {}
-        self._mvf: dict[tuple, LdcSolution | None] = {}
+        self._mvf: dict[tuple, LdcSolution] = {}
 
     def mpf(self, s: Mapping[LineId, float]) -> LdcSolution:
         key = tuple(s.get(ln.key, ln.s_min) for ln in self.net.lines)
@@ -117,7 +117,7 @@ class _SolvedPrograms:
             self._mpf[key] = solve_mpf(self.net, s)
         return self._mpf[key]
 
-    def mvf(self, bits: Mapping[LineId, int]) -> LdcSolution | None:
+    def mvf(self, bits: Mapping[LineId, int]) -> LdcSolution:
         key = tuple(bits.get(ln.key) for ln in self._facts)
         if key not in self._mvf:
             self._mvf[key] = solve_mvf(self.net, bits)

@@ -28,6 +28,7 @@ from .linprog import LpError, solve_lp
 from .model import (
     BusKind,
     InjectionSolution,
+    InputError,
     LdcSolution,
     Network,
 )
@@ -94,7 +95,8 @@ def max_flow(net: Network) -> MfSolution:
 
     Generators hang off a super source and loads feed a super sink, both
     through unlimited arcs; shortest augmenting paths are pushed until none
-    remains.  The returned flow is made acyclic before returning.
+    remains.  The returned flow is made acyclic before returning.  A
+    generator-to-load path of infinite capacity raises :class:`InputError`.
     """
     arcs: dict[object, dict[object, float]] = {}
 
@@ -140,7 +142,7 @@ def max_flow(net: Network) -> MfSolution:
             node = parent[node]
         bottleneck = min(residual(u, v) for u, v in path)
         if math.isinf(bottleneck):
-            raise ValueError("unbounded maximum flow (infinite-capacity path)")
+            raise InputError("unbounded maximum flow (infinite-capacity path)")
         for u, v in path:
             back = sent.get((v, u), 0.0)
             if back > 0.0:
@@ -297,7 +299,7 @@ def _alternative_max_flow(net: Network, value: float, seed: int) -> InjectionSol
     res = solve_lp(builder.lp)
     if res.status != "optimal":
         raise LpError(f"alternative optimum solve returned {res.status}")
-    return cancel_cycles(net, builder.extract(res.x, {}).injections)
+    return cancel_cycles(net, builder.solution(res.x).injections)
 
 
 def mff_via_lemma(net: Network) -> LemmaLift | None:

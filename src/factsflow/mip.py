@@ -44,19 +44,15 @@ repairs the few rows the pinning breaks.
 
 This module holds only the search.  The relaxation is built by
 :func:`formulations.build_mff_relaxation`, and the search asks its builder
-which cone holds a line's point and what operating point a vertex stands
-for.  MVF (:func:`formulations.solve_mvf`) is a leaf of this search: the
-relaxation with the opposite cone parts of every controllable line pinned
-at zero.  Fixed lines take no bit.
-
-A brute-force reference — the best MVF over every direction assignment of
-the controllable lines — is provided for small instances as
-:func:`enumerate_signs_oracle`.  It solves the search's own program.
+for the bounds that pin the bits branched on, which cone holds a line's
+point, how the point splits between the two cones, and what operating
+point a vertex stands for.  MVF (:func:`formulations.solve_mvf`) is a leaf
+of this search: the relaxation with the opposite cone parts of every
+controllable line pinned at zero.  Fixed lines take no bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -70,7 +66,6 @@ __all__ = [
     "MffConfig",
     "MffResult",
     "solve_mff",
-    "enumerate_signs_oracle",
 ]
 
 LineId = tuple[str, str]
@@ -118,11 +113,11 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         raise InputError("node_limit must be positive")
 
     start = time.monotonic()
-    builder, parts = build_mff_relaxation(net)
-    by_key = {ln.key: ln for ln in net.lines}
+    builder = build_mff_relaxation(net)
+    facts = net.facts_lines()
 
     # The all-zero vertex is feasible at every node: the incumbent to beat.
-    incumbent_sol = builder.solution([0.0] * builder.lp.num_vars, {})
+    incumbent_sol = builder.solution([0.0] * builder.lp.num_vars)
     incumbent = 0.0
     if warm_start is not None:
         report = validate_solution(net, warm_start, DEFAULT_TOL)
@@ -147,9 +142,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             stack.sort(key=lambda item: item[0])  # best bound explored next
 
         _, branched, basis = stack.pop()
-        overrides = {idx: (0.0, 0.0) for key, bit in branched.items()
-                     for idx in parts[key].against(bit)}
-        res = solve_lp(builder.lp, bound_overrides=overrides, basis=basis)
+        res = solve_lp(builder.lp, bound_overrides=builder.pin(branched), basis=basis)
         nodes += 1
         if res.status != "optimal":
             # The all-zero point is feasible at every node and the objective
@@ -164,16 +157,14 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         x = res.x
         bits = dict(branched)
         split = []  # undecided lines whose point lies in neither cone
-        for key, p in parts.items():
-            if key in bits:
+        for ln in facts:
+            if ln.key in bits:
                 continue
-            bit = builder.cone_bit(by_key[key], x)
+            bit = builder.cone_bit(ln, x)
             if bit is None:
-                plus = float(x[p.dplus] + x[p.fplus])
-                minus = float(x[p.dminus] + x[p.fminus])
-                split.append((key, plus, minus))
+                split.append((ln, *builder.cone_split(ln, x)))
             else:
-                bits[key] = bit
+                bits[ln.key] = bit
         if not split:
             candidate = builder.solution(x, bits)
             if candidate is not None and validate_solution(net, candidate, DEFAULT_TOL).ok:
@@ -187,12 +178,12 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         else:
             # Branch where the two cones share the line's point most evenly;
             # the cone holding more of it is explored first.
-            key, plus, minus = max(split, key=lambda item: (
-                min(item[1], item[2]) / (item[1] + item[2]), by_key[item[0]].capacity))
+            ln, plus, minus = max(split, key=lambda item: (
+                min(item[1], item[2]) / (item[1] + item[2]), item[0].capacity))
             first = 1 if plus >= minus else 0
             for bit in (1 - first, first):
                 child = dict(branched)
-                child[key] = bit
+                child[ln.key] = bit
                 stack.append((bound, child, res.basis))
 
         stack = [item for item in stack if item[0] > incumbent + 1e-9]
@@ -219,25 +210,3 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         wall_time=time.monotonic() - start,
         termination=termination,
     )
-
-
-def enumerate_signs_oracle(net: Network, max_lines: int = 16) -> LdcSolution:
-    """Brute-force reference optimum by direction enumeration.
-
-    Every operating point induces a direction bit per controllable line, so
-    the best of the fixed-direction LPs over all assignments is the true
-    optimum; it is returned.  Fixed lines carry no directional choice (their
-    power law is an equality).  Refuses instances with more than
-    ``max_lines`` controllable lines.
-    """
-    keys = [ln.key for ln in net.facts_lines()]
-    if len(keys) > max_lines:
-        raise InputError(
-            f"{len(keys)} controllable lines exceed the enumeration cap {max_lines}"
-        )
-    best: LdcSolution | None = None
-    for combo in itertools.product((0, 1), repeat=len(keys)):
-        result = solve_mvf(net, dict(zip(keys, combo)))
-        if best is None or result.value > best.value:
-            best = result
-    return best

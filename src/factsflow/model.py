@@ -273,7 +273,9 @@ def validate_network(net: Network) -> ValidationReport:
             )
         if math.isinf(ln.s_min):
             report.add("line.bad_interval", f"line {name} has infinite lower susceptance bound")
-        if ln.capacity < 0:
+        if math.isnan(ln.capacity):
+            report.add("line.bad_capacity", f"line {name} has capacity NaN")
+        elif ln.capacity < 0:
             report.add("line.negative_capacity", f"line {name} has negative capacity {ln.capacity}")
         elif ln.capacity == 0:
             report.add("line.zero_capacity", f"line {name} has zero capacity", severity="warning")

@@ -1,8 +1,12 @@
-"""Behavioural checks of the choice gadgets and the exact-cover encoding.
+"""Brute-force references: the direction-enumeration oracle and the
+behavioural checks of the choice gadgets and the exact-cover encoding.
 
 :mod:`factsflow.gadgets` only builds the networks; these test helpers
 certify them.  Tests import them as ``from gadget_checks import ...``:
 
+* :func:`enumerate_signs_oracle` is the exact optimum by enumerating the
+  direction bits of every controllable line, the reference the exact
+  solver is checked against;
 * :func:`verify_choice` sweeps a gadget's port emission and checks that only
   zero and full emission are optimal;
 * :func:`check_reduction` solves an exact-cover encoding exactly and
@@ -19,9 +23,9 @@ from typing import Mapping
 
 from factsflow.formulations import NetworkLp, build_mff_relaxation
 from factsflow.gadgets import ChoiceNetwork, ExactCoverInstance, build_exact_cover_network
-from factsflow.linprog import solve_lp
+from factsflow.linprog import LpError, solve_lp
 from factsflow.mip import MffConfig, MffResult, solve_mff
-from factsflow.model import Bus, BusKind, InputError, Line, Network
+from factsflow.model import Bus, BusKind, InputError, LdcSolution, Line, Network
 
 from conftest import degenerate_choice_builder
 
@@ -32,19 +36,53 @@ _PROBE = "__probe__"
 _GRID_STEP = Fraction(1, 20)
 #: Objective tolerance of the two-point optimality check.
 _VERIFY_TOL = 1e-6
-#: Controllable lines the enumeration in :func:`pinned_optimum` accepts.
+#: Controllable lines the enumerations accept by default.
 _MAX_LINES = 16
 #: Search settings of :func:`check_reduction`.
 _REDUCTION_CONFIG = MffConfig(gap_tol=1e-7)
 
 
+def direction_patterns(net: Network, max_lines: int = _MAX_LINES) -> list[dict[LineId, int]]:
+    """Every assignment of a direction bit to each controllable line of
+    ``net``; refuses more than ``max_lines`` controllable lines."""
+    keys = [ln.key for ln in net.facts_lines()]
+    if len(keys) > max_lines:
+        raise InputError(f"{len(keys)} controllable lines exceed the enumeration cap {max_lines}")
+    return [dict(zip(keys, combo)) for combo in itertools.product((0, 1), repeat=len(keys))]
+
+
+def enumerate_signs_oracle(net: Network, max_lines: int = _MAX_LINES) -> LdcSolution:
+    """Brute-force reference optimum by direction enumeration.
+
+    Every operating point induces a direction bit per controllable line, so
+    the best of the fixed-direction programs over all assignments is the
+    true optimum; it is returned.  The MFF relaxation is built once and
+    solved under each pattern's pinned bounds, which is what ``solve_mvf``
+    solves.  Fixed lines carry no directional choice.  A solve that is not
+    optimal, or a vertex that maps back to no susceptance, raises
+    :class:`LpError`.
+    """
+    patterns = direction_patterns(net, max_lines)
+    builder = build_mff_relaxation(net)
+    best: LdcSolution | None = None
+    for bits in patterns:
+        res = solve_lp(builder.lp, builder.pin(bits))
+        if res.status != "optimal":
+            raise LpError(f"fixed-direction solve returned {res.status}")
+        result = builder.solution(res.x, bits)
+        if result is None:
+            raise LpError("fixed-direction vertex has flow across a vanishing angle difference")
+        if best is None or result.value > best.value:
+            best = result
+    return best
+
+
 def pinned_overrides(builder: NetworkLp, bits: Mapping[LineId, int],
                      flows: Mapping[LineId, float]) -> dict[int, tuple[float, float]]:
     """Bound overrides of the MFF relaxation ``builder`` that pin each
-    controllable line's opposite cone parts at zero, as MVF does, then fix
-    the flow of each line in ``flows`` at its value."""
-    overrides = {idx: (0.0, 0.0) for key, p in builder.parts.items()
-                 for idx in p.against(bits[key])}
+    controllable line to its direction, as MVF does, then fix the flow of
+    each line in ``flows`` at its value."""
+    overrides = builder.pin(bits)
     overrides.update({builder.flow[key]: (float(w), float(w)) for key, w in flows.items()})
     return overrides
 
@@ -54,16 +92,14 @@ def pinned_optimum(net: Network, key: LineId, w: float) -> float:
     ``w``, which must lie within the line's capacity.
 
     The direction bits of the controllable lines are enumerated as
-    ``enumerate_signs_oracle`` does.  A pattern that cannot carry the pin is
-    skipped; :class:`ValueError` is raised when no pattern can.
+    :func:`enumerate_signs_oracle` does.  A pattern that cannot carry the
+    pin is skipped; :class:`ValueError` is raised when no pattern can.
     """
-    builder, _ = build_mff_relaxation(net)
-    keys = [ln.key for ln in net.facts_lines()]
-    if len(keys) > _MAX_LINES:
-        raise InputError(f"{len(keys)} controllable lines exceed the enumeration cap {_MAX_LINES}")
+    patterns = direction_patterns(net)
+    builder = build_mff_relaxation(net)
     values = []
-    for combo in itertools.product((0, 1), repeat=len(keys)):
-        res = solve_lp(builder.lp, pinned_overrides(builder, dict(zip(keys, combo)), {key: w}))
+    for bits in patterns:
+        res = solve_lp(builder.lp, pinned_overrides(builder, bits, {key: w}))
         if res.status == "infeasible":
             continue
         assert res.status == "optimal", res.status

@@ -14,7 +14,7 @@ import pytest
 from factsflow.model import validate_solution, InjectionSolution, LdcSolution
 from factsflow.formulations import midpoint_susceptances, solve_mpf
 from factsflow.maxflow import LiftFailure, max_flow, mff_via_lemma
-from factsflow.mip import MffConfig, enumerate_signs_oracle, solve_mff
+from factsflow.mip import MffConfig, solve_mff
 from factsflow.iterative import multi_start_im
 from factsflow.gadgets import ExactCoverInstance, build_choice_network
 
@@ -28,6 +28,7 @@ from conftest import (
 from gadget_checks import (
     check_reduction,
     degenerate_choice_network,
+    enumerate_signs_oracle,
     exact_cover_brute_force,
     verify_choice,
 )

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -337,9 +338,18 @@ def _non_numeric_s_min(doc):
     doc["lines"][0]["s_min"] = "x"
 
 
+def _nan_capacity(doc):
+    doc["lines"][0]["capacity"] = math.nan  # written as the JSON token NaN
+
+
+def _nan_text_capacity(doc):
+    doc["lines"][0]["capacity"] = "nan"
+
+
 @pytest.mark.parametrize("command", ["mpf", "mf", "im", "mff"])
 @pytest.mark.parametrize("corrupt", [_unknown_bus, _reversed_interval, _bus_without_id,
-                                     _non_numeric_s_min], ids=lambda f: f.__name__[1:])
+                                     _non_numeric_s_min, _nan_capacity, _nan_text_capacity],
+                         ids=lambda f: f.__name__[1:])
 def test_malformed_network_is_one_error_line(tmp_path, capsys, command, corrupt):
     doc = json.loads(serialize_network(tri_network(facts=True)))
     corrupt(doc)
@@ -350,6 +360,18 @@ def test_malformed_network_is_one_error_line(tmp_path, capsys, command, corrupt)
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_infinite_capacity_path_is_one_error_line(tmp_path, capsys):
+    doc = json.loads(serialize_network(tri_network()))
+    for line in doc["lines"]:
+        line["capacity"] = math.inf  # written as the JSON token Infinity
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["mf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unbounded maximum flow (infinite-capacity path)\n"
 
 
 def test_wrongly_typed_section_is_one_error_line(tmp_path, capsys):

@@ -22,9 +22,8 @@ from factsflow.formulations import (
     solve_mvf,
 )
 from factsflow.maxflow import max_flow
-from factsflow.mip import enumerate_signs_oracle
-
 from conftest import random_small_net, random_unbounded_upper
+from gadget_checks import enumerate_signs_oracle
 
 
 class TestSolveMpf:
@@ -54,6 +53,21 @@ class TestSolveMpf:
     def test_out_of_interval_susceptance_rejected(self, tri_f):
         with pytest.raises(InputError):
             solve_mpf(tri_f, {("g", "l"): 2.0})
+
+    def test_susceptance_is_the_checked_point(self):
+        # The readback returns the point the program was written with: the
+        # given interior value, and s_min for the omitted lines.
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("b"), Bus("l", BusKind.LOAD)),
+            lines=(
+                Line("g", "l", 1.0, 1.25, 10.0),
+                Line("g", "b", 0.5, 2.0, 10.0),
+                Line("b", "l", 1.0, 1.0, 4.0),
+            ),
+        )
+        result = solve_mpf(net, {("g", "l"): 1.125})
+        assert result.susceptance == {("g", "l"): 1.125, ("g", "b"): 0.5, ("b", "l"): 1.0}
+        assert validate_solution(net, result).ok
 
 
 class TestSolveMvf:

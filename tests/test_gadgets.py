@@ -16,6 +16,7 @@ import gadget_checks
 from gadget_checks import (
     check_reduction,
     degenerate_choice_network,
+    enumerate_signs_oracle,
     exact_cover_brute_force,
     pinned_optimum,
     verify_choice,
@@ -45,8 +46,6 @@ class TestDefaultBuilder:
 
     def test_standalone_gadget_optimum_equals_inner(self):
         # With the port dead-ended the only mode is zero emission.
-        from factsflow.mip import enumerate_signs_oracle
-
         built = build_choice_network(1)
         res = enumerate_signs_oracle(built.net)
         assert res.value == pytest.approx(6.1, abs=1e-6)

@@ -5,11 +5,12 @@ import pytest
 from factsflow import formulations, iterative
 from factsflow.model import Bus, BusKind, Line, Network, validate_solution
 from factsflow.iterative import multi_start_im, solve_im, start_susceptances
-from factsflow.mip import MffConfig, enumerate_signs_oracle, solve_mff
+from factsflow.mip import MffConfig, solve_mff
 from factsflow.maxflow import max_flow
 
 from conftest import (random_meshed_zero_lower, random_partly_unbounded, random_small_net,
                       random_tree, random_unbounded_upper)
+from gadget_checks import enumerate_signs_oracle
 
 
 class TestSolveIm:

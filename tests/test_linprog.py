@@ -497,8 +497,8 @@ def test_unchanged_program_resolves_from_its_basis_without_a_pivot(monkeypatch):
     monkeypatch.setattr(linprog._Tableau, "pivot", counting)
     rng = random.Random(20261022)
     net = random_meshed_zero_lower(3, max_buses=60)
-    programs = [build_mff_relaxation(net)[0].lp,
-                build_mpf_program(net, midpoint_susceptances(net))[0].lp]
+    programs = [build_mff_relaxation(net).lp,
+                build_mpf_program(net, midpoint_susceptances(net)).lp]
     programs += [_random_program(rng) for _ in range(100)] + [_degenerate_program(rng) for _ in range(100)]
     warm_solves = 0
     for lp in programs:
@@ -521,8 +521,8 @@ def test_unchanged_program_resolves_from_its_basis_without_a_pivot(monkeypatch):
 def test_network_programs_match_highs(seed):
     pytest.importorskip("scipy.optimize")
     net = random_meshed_zero_lower(seed, max_buses=120)
-    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
-    relaxation, _ = build_mff_relaxation(net)
+    mpf = build_mpf_program(net, midpoint_susceptances(net))
+    relaxation = build_mff_relaxation(net)
     for lp in (mpf.lp, relaxation.lp):
         ours = solve_lp(lp)
         status, value = _highs(lp)
@@ -547,9 +547,9 @@ def test_sparse_pivot_matches_the_dense_update(monkeypatch, seed, program):
     The seed-6 program refactorises twice between sparse updates."""
     net = random_meshed_zero_lower(seed, max_buses=120)
     if program == "mpf":
-        builder, _ = build_mpf_program(net, midpoint_susceptances(net))
+        builder = build_mpf_program(net, midpoint_susceptances(net))
     else:
-        builder, _ = build_mff_relaxation(net)
+        builder = build_mff_relaxation(net)
     sparse = solve_lp(builder.lp)
     monkeypatch.setattr(linprog, "_Tableau", _DenseTableau)
     dense = solve_lp(builder.lp)
@@ -567,7 +567,7 @@ def test_mvf_with_pinned_flows_matches_highs():
     # Half the MPF point is feasible for its own directions.
     pinned = {key: 0.5 * f for key, f in flows.items() if abs(f) > 1e-6}
     pinned = dict(list(pinned.items())[:6])
-    builder, _ = build_mff_relaxation(net)
+    builder = build_mff_relaxation(net)
     overrides = pinned_overrides(builder, extract_signs(net, mpf.theta), pinned)
     ours = solve_lp(builder.lp, overrides)
     assert any(lo == hi != 0.0 for lo, hi in overrides.values())
@@ -662,8 +662,8 @@ def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
     monkeypatch.setattr(linprog._Tableau, "pivot", counting)
     monkeypatch.setattr(linprog._Tableau, "refresh", recording)
     net = random_meshed_zero_lower(0, max_buses=120)
-    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
-    relaxation, _ = build_mff_relaxation(net)
+    mpf = build_mpf_program(net, midpoint_susceptances(net))
+    relaxation = build_mff_relaxation(net)
     for lp in (mpf.lp, relaxation.lp):
         assert solve_lp(lp).status == "optimal"
     point = solve_mpf(net, midpoint_susceptances(net))
@@ -743,18 +743,20 @@ def test_kept_reduced_costs_track_fresh_prices(monkeypatch):
         return res, exchanges[0], pricings[0]
 
     net = random_meshed_zero_lower(0, max_buses=120)
-    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
-    relaxation, parts = build_mff_relaxation(net)
+    mpf = build_mpf_program(net, midpoint_susceptances(net))
+    relaxation = build_mff_relaxation(net)
     _, mpf_pivots, mpf_pricings = counted(mpf.lp)
     root, root_pivots, root_pricings = counted(relaxation.lp)
     assert min(mpf_pivots, root_pivots) > 300  # past a refactorisation
     assert max(mpf_pricings, root_pricings) <= 6  # not one per pivot
 
-    # Pin the cone part carrying the most flow at the root, as a branch does.
-    key = max(parts, key=lambda k: abs(root.value(parts[k].fplus) - root.value(parts[k].fminus)))
-    bit = 0 if root.value(parts[key].fplus) > root.value(parts[key].fminus) else 1
-    overrides = {idx: (0.0, 0.0) for idx in parts[key].against(bit)}
-    child, child_pivots, child_pricings = counted(relaxation.lp, overrides, root.basis)
+    # Pin away the direction of the controllable line carrying the most
+    # flow at the root, as a branch does.
+    key = max((ln.key for ln in net.facts_lines()),
+              key=lambda k: abs(root.value(relaxation.flow[k])))
+    bit = 0 if root.value(relaxation.flow[key]) > 0 else 1
+    child, child_pivots, child_pricings = counted(relaxation.lp, relaxation.pin({key: bit}),
+                                                  root.basis)
     assert child_pivots > 0
     assert child_pricings <= 4
     assert child.objective <= root.objective + 1e-9
@@ -766,7 +768,7 @@ def test_optimal_is_decided_on_fresh_prices(monkeypatch):
     pivoting from there."""
     pytest.importorskip("scipy.optimize")
     net = random_meshed_zero_lower(0, max_buses=120)
-    mpf, _ = build_mpf_program(net, midpoint_susceptances(net))
+    mpf = build_mpf_program(net, midpoint_susceptances(net))
     exchanges = [0]
     exchange = linprog._Tableau.exchange
 

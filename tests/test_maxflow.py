@@ -8,6 +8,7 @@ from factsflow.model import (
     Bus,
     BusKind,
     InjectionSolution,
+    InputError,
     LdcSolution,
     Line,
     Network,
@@ -57,6 +58,14 @@ class TestMaxFlow:
             lines=(),
         )
         assert max_flow(net).value == 0.0
+
+    def test_infinite_capacity_path_is_an_input_error(self):
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "l", 1.0, 1.0, math.inf),),
+        )
+        with pytest.raises(InputError, match="infinite-capacity path"):
+            max_flow(net)
 
     def test_returned_flow_is_acyclic(self):
         for seed in range(20):
@@ -249,7 +258,7 @@ class TestScalingConstruction:
 
 def test_value_ordering_max_flow_dominates():
     from conftest import random_small_net
-    from factsflow.mip import enumerate_signs_oracle
+    from gadget_checks import enumerate_signs_oracle
 
     for seed in range(25):
         net = random_small_net(seed, max_lines=6)

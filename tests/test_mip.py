@@ -6,9 +6,9 @@ import pytest
 
 from factsflow.model import Bus, BusKind, InputError, Line, Network, validate_solution
 from factsflow.linprog import LpError, LpResult, solve_lp
-from factsflow.mip import MffConfig, enumerate_signs_oracle, solve_mff
+from factsflow.mip import MffConfig, solve_mff
 from factsflow.maxflow import max_flow
-from factsflow.formulations import build_mff_relaxation, solve_mpf, midpoint_susceptances
+from factsflow.formulations import NetworkLp, build_mff_relaxation, solve_mpf, midpoint_susceptances
 
 from conftest import (
     random_partly_unbounded,
@@ -16,31 +16,35 @@ from conftest import (
     random_unbounded_upper,
     tri_network,
 )
+import gadget_checks
+from gadget_checks import enumerate_signs_oracle
 
 
 class TestMffRelaxation:
     def test_single_fixed_line_relaxation_reaches_capacity(self, single_line):
-        builder, _ = build_mff_relaxation(single_line)
+        builder = build_mff_relaxation(single_line)
         res = solve_lp(builder.lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(5.0)
 
     def test_degenerate_intervals_pinch_to_fixed_optimum(self, tri):
-        builder, _ = build_mff_relaxation(tri)
+        builder = build_mff_relaxation(tri)
         res = solve_lp(builder.lp)
         fixed = solve_mpf(tri, {ln.key: 1.0 for ln in tri.lines})
         assert res.objective == pytest.approx(fixed.value, abs=1e-6)
         assert res.objective == pytest.approx(12.0, abs=1e-6)
 
     def test_direction_parts_only_on_controllable_lines(self, tri_f):
-        builder, parts = build_mff_relaxation(tri_f)
-        assert set(parts) == {ln.key for ln in tri_f.facts_lines()} == {("g", "l")}
+        builder = build_mff_relaxation(tri_f)
+        assert {ln.key for ln in tri_f.facts_lines()} == {("g", "l")}
+        # Only the controllable line has parts to pin: bits on fixed lines are skipped.
+        assert len(builder.pin({ln.key: 1 for ln in tri_f.lines})) == 2
         for name in builder.lp.names:
             if name.startswith(("dplus", "dminus", "fplus", "fminus")):
                 assert name.endswith("[g-l]")
 
     def test_no_variable_is_a_bit(self, tri_f):
-        builder, _ = build_mff_relaxation(tri_f)
+        builder = build_mff_relaxation(tri_f)
         lp = builder.lp
         assert all((lo, hi) != (0.0, 1.0) for lo, hi in zip(lp.lb, lp.ub))
         assert not any(name.startswith("d[") for name in lp.names)
@@ -150,6 +154,17 @@ class TestEnumerateOracle:
         net = Network(buses=tuple(buses), lines=tuple(lines))
         with pytest.raises(InputError):
             enumerate_signs_oracle(net, max_lines=16)
+
+    def test_failed_solve_is_an_error(self, tri_f, monkeypatch):
+        monkeypatch.setattr(gadget_checks, "solve_lp",
+                            lambda lp, overrides: LpResult("infeasible", None, None))
+        with pytest.raises(LpError):
+            enumerate_signs_oracle(tri_f)
+
+    def test_failed_readback_is_an_error(self, tri_f, monkeypatch):
+        monkeypatch.setattr(NetworkLp, "solution", lambda self, x, bits=None: None)
+        with pytest.raises(LpError, match="vanishing angle"):
+            enumerate_signs_oracle(tri_f)
 
     def test_agreement_with_branch_and_bound(self):
         for seed in range(60):

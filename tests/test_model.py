@@ -53,6 +53,13 @@ class TestValidateNetwork:
                 lines=(Line("a", "b", 1, 1, -2.0),),
             )
 
+    def test_nan_capacity(self):
+        with pytest.raises(InputError, match="line.bad_capacity"):
+            Network(
+                buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
+                lines=(Line("a", "b", 1, 1, math.nan),),
+            )
+
     def test_zero_capacity_is_warning_only(self):
         net = Network(
             buses=(Bus("a", BusKind.GENERATOR), Bus("b", BusKind.LOAD)),
