@@ -36,23 +36,31 @@ its value is the best of its whole subtree, so it becomes an incumbent and
 closes the node.  Fixed lines carry no directional choice; their power law
 is the equality ``f = s * dtheta``.
 
-A child differs from its parent only in the two cone parts it pins at zero,
-so its parent's optimal basis stays dual feasible for it.  Each open node
-keeps that basis (O(rows + columns) integers, not the tableau), and both
-children start their LP from it: the dual simplex of :func:`linprog.solve_lp`
-repairs the few rows the pinning breaks.
+Open nodes wait in one priority queue, highest parent bound first (Land
+and Doig, Econometrica 28, 1960), the newest first among equal bounds, and
+of two siblings the one whose cone holds more of the split line's point:
+the search dives while bounds tie.  The top of the queue is the upper
+bound, so the search stops once that is within ``gap_tol`` of the
+incumbent.  An unbounded node relaxation carries flow over a line of
+infinite capacity; the node branches on its undecided controllable line of
+largest capacity, whose pinned direction ties that flow to the angles.
 
-This module holds only the search.  The relaxation is built by
-:func:`formulations.build_mff_relaxation`, and the search asks its builder
-for the bounds that pin the bits branched on, which cone holds a line's
-point, how the point splits between the two cones, and what operating
-point a vertex stands for.  MVF (:func:`formulations.solve_mvf`) is a leaf
-of this search: the relaxation with the opposite cone parts of every
-controllable line pinned at zero.  Fixed lines take no bit.
+A child differs from its parent only in the two cone parts it pins at zero,
+so the parent's optimal basis, which each open node keeps (O(rows +
+columns) integers, not the tableau), stays dual feasible for it: the dual
+simplex of :func:`linprog.solve_lp` repairs the few rows the pinning breaks.
+
+This module holds only the search.  The builder from
+:func:`formulations.build_mff_relaxation` gives the bounds that pin a bit,
+the cone that holds a line's point, how the point splits between the
+cones, and the operating point a vertex stands for.  MVF
+(:func:`formulations.solve_mvf`) is a leaf of this search.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import math
 import time
@@ -102,9 +110,9 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     alternating heuristic) installs an initial incumbent, so the search can
     only improve on it.  Termination honours ``gap_tol`` (relative),
     ``time_limit`` (seconds) and ``node_limit``; the result always carries a
-    feasible solution and a valid upper bound.  A node relaxation that does
-    not solve to optimality raises :class:`LpError`.  Each node is traced at
-    ``DEBUG`` level on this module's logger.
+    feasible solution and a valid upper bound.  A node relaxation that is
+    infeasible, or unbounded with no controllable line left to branch on,
+    raises :class:`LpError`.  Each node is traced at ``DEBUG`` level.
     """
     config = config or MffConfig()
     if config.time_limit is not None and config.time_limit <= 0:
@@ -126,80 +134,71 @@ def solve_mff(net: Network, config: MffConfig | None = None,
         incumbent_sol = warm_start
         incumbent = warm_start.value
 
-    # Nodes: (parent bound, direction bits branched on so far, parent basis).
-    stack: list[tuple[float, dict[LineId, int], LpBasis | None]] = [(math.inf, {}, None)]
+    # Open nodes: (-parent bound, -sequence number, direction bits branched
+    # on so far, parent basis), so the top is also the search's upper bound.
+    heap: list[tuple[float, int, dict[LineId, int], LpBasis | None]] = [(-math.inf, 0, {}, None)]
+    pushed = itertools.count(1)
     nodes = 0
     termination = "optimal"
 
-    while stack:
+    while heap and -heap[0][0] > incumbent + 1e-9:
+        if (-heap[0][0] - incumbent) / max(1.0, abs(incumbent)) <= config.gap_tol:
+            termination = "gap_reached"
+            break
         if config.time_limit is not None and time.monotonic() - start > config.time_limit:
             termination = "time_limit"
             break
         if config.node_limit is not None and nodes >= config.node_limit:
             termination = "node_limit"
             break
-        if nodes and nodes % 100 == 0:
-            stack.sort(key=lambda item: item[0])  # best bound explored next
 
-        _, branched, basis = stack.pop()
+        key, _, branched, basis = heapq.heappop(heap)
         res = solve_lp(builder.lp, bound_overrides=builder.pin(branched), basis=basis)
         nodes += 1
-        if res.status != "optimal":
-            # The all-zero point is feasible at every node and the objective
-            # is bounded, so any other status is a numerical failure.
+        if res.status not in ("optimal", "unbounded"):
+            # The all-zero point is feasible at every node: a numerical failure.
             raise LpError(f"node relaxation solve returned {res.status}")
-        bound = res.objective
-        logger.debug("node %d: depth %d bound %.6f incumbent %.6f",
-                     nodes, len(branched), bound, incumbent)
+        bound = res.objective if res.status == "optimal" else math.inf
+        logger.debug("node %d: depth %d parent bound %.6f bound %.6f incumbent %.6f",
+                     nodes, len(branched), -key, bound, incumbent)
         if bound <= incumbent + 1e-9:
             continue
 
-        x = res.x
-        bits = dict(branched)
-        split = []  # undecided lines whose point lies in neither cone
-        for ln in facts:
-            if ln.key in bits:
-                continue
-            bit = builder.cone_bit(ln, x)
-            if bit is None:
-                split.append((ln, *builder.cone_split(ln, x)))
-            else:
-                bits[ln.key] = bit
-        if not split:
-            candidate = builder.solution(x, bits)
-            if candidate is not None and validate_solution(net, candidate, DEFAULT_TOL).ok:
-                value = candidate.value
-            else:
-                candidate = solve_mvf(net, bits)
-                value = candidate.value
-            if value > incumbent:
-                incumbent = value
-                incumbent_sol = candidate
+        if res.status == "unbounded":
+            # The children wait at bound +inf; an unbounded solve has no basis.
+            undecided = [ln for ln in facts if ln.key not in branched]
+            if not undecided:
+                raise LpError("node relaxation solve returned unbounded")
+            ln, first = max(undecided, key=lambda line: line.capacity), 1
         else:
+            x = res.x
+            bits = dict(branched)
+            split = []  # undecided lines whose point lies in neither cone
+            for ln in facts:
+                if ln.key in bits:
+                    continue
+                bit = builder.cone_bit(ln, x)
+                if bit is None:
+                    split.append((ln, *builder.cone_split(ln, x)))
+                else:
+                    bits[ln.key] = bit
+            if not split:
+                candidate = builder.solution(x, bits)
+                if candidate is None or not validate_solution(net, candidate, DEFAULT_TOL).ok:
+                    candidate = solve_mvf(net, bits)
+                if candidate.value > incumbent:
+                    incumbent = candidate.value
+                    incumbent_sol = candidate
+                continue
             # Branch where the two cones share the line's point most evenly;
             # the cone holding more of it is explored first.
             ln, plus, minus = max(split, key=lambda item: (
                 min(item[1], item[2]) / (item[1] + item[2]), item[0].capacity))
             first = 1 if plus >= minus else 0
-            for bit in (1 - first, first):
-                child = dict(branched)
-                child[ln.key] = bit
-                stack.append((bound, child, res.basis))
+        for bit in (1 - first, first):
+            heapq.heappush(heap, (-bound, -next(pushed), {**branched, ln.key: bit}, res.basis))
 
-        stack = [item for item in stack if item[0] > incumbent + 1e-9]
-        if stack:
-            ub_now = max(incumbent, max(item[0] for item in stack))
-            if math.isfinite(ub_now) and (
-                (ub_now - incumbent) / max(1.0, abs(incumbent)) <= config.gap_tol
-            ):
-                termination = "gap_reached"
-                break
-
-    if stack:
-        upper = max(incumbent, max(item[0] for item in stack))
-    else:
-        upper = incumbent
-        termination = "optimal"
+    upper = incumbent if termination == "optimal" else max(incumbent, -heap[0][0])
     gap = (upper - incumbent) / max(1.0, abs(incumbent))
     return MffResult(
         solution=incumbent_sol,

@@ -341,14 +341,15 @@ def validate_solution(net: Network, sol: LdcSolution, tol: float = DEFAULT_TOL) 
                 f"susceptance {s} of line {name} outside [{ln.s_min}, {ln.s_max}]",
             )
         f = float(inj.flow.get(key, 0.0))
-        if abs(f) > ln.capacity + tol:
+        # The capacity and power-law checks are written so that NaN fails them.
+        if not abs(f) <= ln.capacity + tol:
             report.add(
                 "solution.capacity",
                 f"flow {f} on line {name} exceeds capacity {ln.capacity}",
             )
         if ln.a in sol.theta and ln.b in sol.theta:
             dtheta = float(sol.theta[ln.b]) - float(sol.theta[ln.a])
-            if abs(f - s * dtheta) > tol:
+            if not abs(f - s * dtheta) <= tol:
                 report.add(
                     "solution.power_law",
                     f"line {name}: flow {f} != susceptance {s} x angle difference {dtheta}",

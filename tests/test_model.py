@@ -16,7 +16,9 @@ from factsflow.model import (
     validate_network,
     validate_solution,
 )
+from factsflow.caseio import deserialize_solution, serialize_solution
 from factsflow.formulations import solve_mpf
+from factsflow.mip import solve_mff
 
 from conftest import tri_network
 
@@ -113,6 +115,42 @@ class TestCheckPowerLaw:
     def test_inconsistent(self, single_line):
         report = validate_solution(single_line, self._sol(single_line, 2.0, 3.0, 5.0))
         assert "solution.power_law" in report.codes()
+
+
+class TestNanFails:
+    """A NaN compares false with everything, so a check written as
+    ``violation > tol`` would pass it."""
+
+    @staticmethod
+    def _nan_angles():
+        return LdcSolution(
+            susceptance={("g", "l"): 1.0},
+            theta={"g": math.nan, "l": math.nan},
+            injections=InjectionSolution(flow={("g", "l"): 5.0}, gen={"g": 5.0}, load={"l": 5.0}),
+        )
+
+    def test_nan_angles_break_the_power_law(self, single_line):
+        sol = self._nan_angles()
+        assert validate_solution(single_line, sol).codes() == ["solution.power_law"]
+        again = deserialize_solution(serialize_solution(sol))
+        assert math.isnan(again.theta["g"])
+        assert validate_solution(single_line, again).codes() == ["solution.power_law"]
+
+    def test_nan_flow_breaks_the_capacity(self):
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "l", 1.0, 1.0, math.inf),),
+        )
+        sol = LdcSolution(
+            susceptance={("g", "l"): 1.0},
+            theta={"g": 0.0, "l": 0.0},
+            injections=InjectionSolution(flow={("g", "l"): math.nan}, gen={}, load={}),
+        )
+        assert "solution.capacity" in validate_solution(net, sol).codes()
+
+    def test_nan_warm_start_refused(self, single_line):
+        with pytest.raises(InputError, match="warm start"):
+            solve_mff(single_line, warm_start=self._nan_angles())
 
 
 class TestValidateSolution:
