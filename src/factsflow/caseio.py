@@ -537,21 +537,22 @@ def deserialize_solution(text: str) -> LdcSolution:
     )
 
 
-def format_run_row(scenario: str, seed: int, mpf: float, im: float, mff: float,
-                   gap: float, mf: float, runtime_s: float) -> str:
+def format_run_row(scenario: str, seed: int, mpf: float | None = None,
+                   im: float | None = None, mff: float | None = None,
+                   gap: float | None = None, mf: float | None = None,
+                   runtime_s: float | None = None) -> str:
     """One CSV row in the fixed column order, 6-decimal formatting.
 
-    The improvement column compares the exact solver's value against the
-    fixed-susceptance baseline and is blank when the baseline is zero.
+    A value left at ``None`` (a stage the trial did not reach) is a blank
+    cell.  The improvement column compares the exact solver's value against
+    the fixed-susceptance baseline and is blank unless both are present and
+    the baseline is positive.
     """
-    if mpf > 0:
-        improvement = f"{100.0 * (mff - mpf) / mpf:.6f}"
-    else:
-        improvement = ""
-    fields = [scenario, str(seed)] + [
-        f"{v:.6f}" for v in (mpf, im, mff, gap, mf)
-    ] + [improvement, f"{runtime_s:.6f}"]
-    return ",".join(fields)
+    improvement = None
+    if mpf is not None and mff is not None and mpf > 0:
+        improvement = 100.0 * (mff - mpf) / mpf
+    values = (mpf, im, mff, gap, mf, improvement, runtime_s)
+    return ",".join([scenario, str(seed)] + ["" if v is None else f"{v:.6f}" for v in values])
 
 
 def derive_seed(master: int, index: int) -> int:

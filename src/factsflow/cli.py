@@ -113,6 +113,11 @@ def _cmd_im(args) -> int:
 
 
 def _cmd_mff(args) -> int:
+    config = MffConfig(
+        gap_tol=args.gap,
+        time_limit=args.time_limit,
+        node_limit=args.node_limit,
+    )
     net = _load_network(args.network)
     warm = None
     if args.warm_start:
@@ -121,11 +126,6 @@ def _cmd_mff(args) -> int:
     if args.dump_lp:
         builder = build_mff_relaxation(net)
         _write(args.dump_lp, lp_format(builder.lp) + "\n")
-    config = MffConfig(
-        gap_tol=args.gap,
-        time_limit=args.time_limit,
-        node_limit=args.node_limit,
-    )
     result = solve_mff(net, config, warm_start=warm)
     print(f"{result.objective:.6f}")
     print(f"bound {result.upper_bound:.6f} gap {result.gap:.6g} "
@@ -136,8 +136,8 @@ def _cmd_mff(args) -> int:
     return 0
 
 
-def _run_trial(net: Network, spec: caseio.ScenarioSpec, mff_time: float,
-               gap: float, index: int) -> tuple[str, str | None]:
+def _run_trial(net: Network, spec: caseio.ScenarioSpec, config: MffConfig,
+               index: int) -> tuple[str, str | None]:
     """One scenario trial as its CSV row, and a warning if a stage failed.
 
     Picklable for a worker pool.  The stages run in the order of their CSV
@@ -152,36 +152,21 @@ def _run_trial(net: Network, spec: caseio.ScenarioSpec, mff_time: float,
     )
     if spec.gen_factor != 1.0 or spec.load_factor != 1.0:
         variant = caseio.apply_congestion_factors(variant, spec.gen_factor, spec.load_factor)
-    done: list[float] = []  # mpf, im, mff, gap as their stages finish
+    cells: dict[str, float] = {}  # filled in column order as the stages finish
     stage = "im"
     try:
         im = multi_start_im(variant)
         # The midpoint start's first step is the MPF at the interval midpoints.
-        done += [im.runs["mid"].trace.steps[0][1], im.value]
+        cells.update(mpf=im.runs["mid"].trace.steps[0][1], im=im.value)
         stage = "mff"
-        mff = solve_mff(
-            variant,
-            MffConfig(gap_tol=gap, time_limit=mff_time),
-            warm_start=im.best.solution,
-        )
-        done += [mff.objective, mff.gap]
+        mff = solve_mff(variant, config, warm_start=im.best.solution)
+        cells.update(mff=mff.objective, gap=mff.gap)
         stage = "mf"
-        mf_value = max_flow(variant).value
+        cells.update(mf=max_flow(variant).value, runtime_s=time.monotonic() - t0)
+        warning = None
     except LpError as exc:
-        cells = [f"trial{index}", str(seed)] + [f"{v:.6f}" for v in done]
-        cells += [""] * (caseio.RUN_CSV_HEADER.count(",") + 1 - len(cells))
-        return ",".join(cells), f"trial {index}: {stage}: {exc}"
-    mpf_value, im_value, mff_value, mff_gap = done
-    return caseio.format_run_row(
-        scenario=f"trial{index}",
-        seed=seed,
-        mpf=mpf_value,
-        im=im_value,
-        mff=mff_value,
-        gap=mff_gap,
-        mf=mf_value,
-        runtime_s=time.monotonic() - t0,
-    ), None
+        warning = f"trial {index}: {stage}: {exc}"
+    return caseio.format_run_row(scenario=f"trial{index}", seed=seed, **cells), warning
 
 
 def _cmd_scenario(args) -> int:
@@ -194,7 +179,8 @@ def _cmd_scenario(args) -> int:
         gen_factor=args.gen_factor,
         load_factor=args.load_factor,
     )
-    trial = functools.partial(_run_trial, net, spec, args.mff_time_limit, args.gap)
+    config = MffConfig(gap_tol=args.gap, time_limit=args.mff_time_limit)
+    trial = functools.partial(_run_trial, net, spec, config)
 
     failed = 0
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout

@@ -115,11 +115,8 @@ def max_flow(net: Network) -> MfSolution:
     arcs.setdefault(_SOURCE, {})
     arcs.setdefault(_SINK, {})
 
-    sent: dict[tuple, float] = {}
-
-    def residual(u, v) -> float:
-        return arcs[u].get(v, 0.0) - sent.get((u, v), 0.0) + sent.get((v, u), 0.0)
-
+    # Signed flow per arc pair: flow[u, v] == -flow[v, u].
+    flow: dict[tuple, float] = {}
     total = 0.0
     while True:
         # BFS for the shortest augmenting path.
@@ -128,8 +125,8 @@ def max_flow(net: Network) -> MfSolution:
         while queue and _SINK not in parent:
             nxt = []
             for u in queue:
-                for v in arcs[u]:
-                    if v not in parent and residual(u, v) > _FLOW_TOL:
+                for v, cap in arcs[u].items():
+                    if v not in parent and cap - flow.get((u, v), 0.0) > _FLOW_TOL:
                         parent[v] = u
                         nxt.append(v)
             queue = nxt
@@ -140,28 +137,20 @@ def max_flow(net: Network) -> MfSolution:
         while parent[node] is not None:
             path.append((parent[node], node))
             node = parent[node]
-        bottleneck = min(residual(u, v) for u, v in path)
+        bottleneck = min(arcs[u][v] - flow.get((u, v), 0.0) for u, v in path)
         if math.isinf(bottleneck):
             raise InputError("unbounded maximum flow (infinite-capacity path)")
         for u, v in path:
-            back = sent.get((v, u), 0.0)
-            if back > 0.0:
-                cancel = min(back, bottleneck)
-                sent[(v, u)] = back - cancel
-                if bottleneck > cancel:
-                    sent[(u, v)] = sent.get((u, v), 0.0) + bottleneck - cancel
-            else:
-                sent[(u, v)] = sent.get((u, v), 0.0) + bottleneck
+            flow[u, v] = flow.get((u, v), 0.0) + bottleneck
+            flow[v, u] = flow.get((v, u), 0.0) - bottleneck
         total += bottleneck
 
-    flow = {}
-    for ln in net.lines:
-        flow[ln.key] = sent.get((ln.a, ln.b), 0.0) - sent.get((ln.b, ln.a), 0.0)
-    gen = {b.id: sent.get((_SOURCE, b.id), 0.0) for b in net.buses
+    gen = {b.id: flow.get((_SOURCE, b.id), 0.0) for b in net.buses
            if b.kind is BusKind.GENERATOR}
-    load = {b.id: sent.get((b.id, _SINK), 0.0) for b in net.buses
+    load = {b.id: flow.get((b.id, _SINK), 0.0) for b in net.buses
             if b.kind is BusKind.LOAD}
-    inj = cancel_cycles(net, InjectionSolution(flow=flow, gen=gen, load=load))
+    line_flow = {ln.key: flow.get((ln.a, ln.b), 0.0) for ln in net.lines}
+    inj = cancel_cycles(net, InjectionSolution(flow=line_flow, gen=gen, load=load))
     return MfSolution(injections=inj, value=total)
 
 
@@ -190,27 +179,21 @@ def cancel_cycles(net: Network, inj: InjectionSolution) -> InjectionSolution:
             if color.get(start, 0) != 0:
                 continue
             color[start] = 1
-            stack = [(start, iter(arcs.get(start, ())))]
-            path_nodes = [start]
-            path_arcs: list[tuple[LineId, float]] = []
+            # The DFS path: (node, its unexplored arcs, the arc that reached it).
+            stack = [(start, iter(arcs[start]), None)]
             while stack:
-                node, it = stack[-1]
+                node, it, _ = stack[-1]
                 for nxt, key, sign in it:
                     if color.get(nxt, 0) == 1:
-                        idx = path_nodes.index(nxt)
-                        return path_arcs[idx:] + [(key, sign)]
+                        idx = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
+                        return [entry[2] for entry in stack[idx + 1:]] + [(key, sign)]
                     if color.get(nxt, 0) == 0:
                         color[nxt] = 1
-                        path_nodes.append(nxt)
-                        path_arcs.append((key, sign))
-                        stack.append((nxt, iter(arcs.get(nxt, ()))))
+                        stack.append((nxt, iter(arcs.get(nxt, ())), (key, sign)))
                         break
                 else:
                     color[node] = 2
                     stack.pop()
-                    path_nodes.pop()
-                    if path_arcs:
-                        path_arcs.pop()
         return None
 
     while True:
@@ -326,14 +309,10 @@ def mff_via_lemma(net: Network) -> LemmaLift | None:
 
     mf = max_flow(net)
     inj = mf.injections
-    last_flow = dict(inj.flow)
     for attempt in range(_LIFT_RETRIES + 1):
         try:
-            sol = lift_flow_to_ldc(net, inj)
-            return LemmaLift(kind=kind, value=mf.value, solution=sol)
+            return LemmaLift(kind=kind, value=mf.value, solution=lift_flow_to_ldc(net, inj))
         except LiftInfeasible:
-            last_flow = dict(inj.flow)
             if attempt == _LIFT_RETRIES:
-                break
+                raise LiftFailure(kind, mf.value, dict(inj.flow)) from None
             inj = _alternative_max_flow(net, mf.value, seed=1000 + attempt)
-    raise LiftFailure(kind, mf.value, last_flow)

@@ -87,6 +87,14 @@ class MffConfig:
     time_limit: float | None = None
     node_limit: int | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.gap_tol < math.inf:  # NaN fails too
+            raise InputError("gap_tol must be finite and nonnegative")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise InputError("time_limit must be positive")
+        if self.node_limit is not None and self.node_limit <= 0:
+            raise InputError("node_limit must be positive")
+
 
 @dataclass
 class MffResult:
@@ -115,10 +123,6 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     raises :class:`LpError`.  Each node is traced at ``DEBUG`` level.
     """
     config = config or MffConfig()
-    if config.time_limit is not None and config.time_limit <= 0:
-        raise InputError("time_limit must be positive")
-    if config.node_limit is not None and config.node_limit <= 0:
-        raise InputError("node_limit must be positive")
 
     start = time.monotonic()
     builder = build_mff_relaxation(net)

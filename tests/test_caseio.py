@@ -354,6 +354,12 @@ class TestCsvRows:
         row = format_run_row("t", 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1)
         assert row.split(",")[7] == ""
 
+    def test_missing_stages_are_blank_cells(self):
+        row = format_run_row("trial3", 5, mpf=10.0, im=10.5)
+        assert row == "trial3,5,10.000000,10.500000,,,,,"
+        assert row.count(",") == RUN_CSV_HEADER.count(",")
+        assert format_run_row("t", 1) == "t,1" + "," * 7
+
     def test_seed_fanout_is_deterministic_and_spread(self):
         children = {derive_seed(7, i) for i in range(100)}
         assert len(children) == 100

@@ -143,6 +143,24 @@ def test_mff_verbose_trace_stays_off_stdout(tri_f_path, capsys, monkeypatch, fla
     assert "node 1:" in captured.err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gap", "inf"], "gap_tol must be finite and nonnegative"),
+    (["--gap", "nan"], "gap_tol must be finite and nonnegative"),
+    (["--gap", "-1"], "gap_tol must be finite and nonnegative"),
+    (["--time-limit", "nan"], "time_limit must be positive"),
+], ids=["gap-inf", "gap-nan", "gap-negative", "time-limit-nan"])
+def test_mff_rejects_bad_settings(tri_f_path, capsys, flags, message):
+    assert run_command(["mff", tri_f_path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_mff_unlimited_time_still_solves(tri_f_path, capsys):
+    assert run_command(["mff", tri_f_path, "--gap", "1e-9", "--time-limit", "inf"]) == 0
+    assert capsys.readouterr().out == "14.000000\n"
+
+
 def test_mff_node_limit_is_reported(tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_text(serialize_network(random_small_net(25)))  # 13 nodes cold
@@ -281,12 +299,14 @@ def test_bad_inputs_exit_nonzero(workdir, tmp_path):
     assert run_command(["mpf", str(tmp_path / "missing.json")]) == 2
 
 
-_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks
+_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks and two of MffConfig's
     "facts-frac": (["--facts-frac", "2"], "facts_fraction must lie in [0, 1]"),
     "seed": (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
     "remove-lines": (["--remove-lines", "-1"], "lines_removed must be nonnegative"),
     "gen-factor": (["--gen-factor", "0"], "congestion factors must be positive"),
     "interval-pct": (["--interval-pct", "-5"], "interval_pct must be nonnegative"),
+    "gap": (["--gap", "inf"], "gap_tol must be finite and nonnegative"),
+    "mff-time-limit": (["--mff-time-limit", "0"], "time_limit must be positive"),
 }
 _CASE_REJECTIONS = {  # the case edit and the message
     "no-baseMVA": (("mpc.baseMVA = 100;\n", ""), "missing mpc.baseMVA"),

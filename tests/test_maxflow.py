@@ -94,6 +94,20 @@ class TestCancelCycles:
         out = cancel_cycles(net, inj)
         assert all(v == 0.0 for v in out.flow.values())
 
+    def test_cycle_off_the_search_root(self):
+        # The search enters at a, so the cycle b-c-d closes below its root.
+        net = Network(
+            buses=(Bus("a"), Bus("b"), Bus("c"), Bus("d")),
+            lines=(Line("a", "b", 1, 1, 5.0), Line("b", "c", 1, 1, 5.0),
+                   Line("c", "d", 1, 1, 5.0), Line("d", "b", 1, 1, 5.0)),
+        )
+        inj = InjectionSolution(
+            flow={("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "d"): 3.0, ("d", "b"): 2.0},
+            gen={}, load={},
+        )
+        out = cancel_cycles(net, inj)
+        assert out.flow == {("a", "b"): 1.0, ("b", "c"): 0.0, ("c", "d"): 1.0, ("d", "b"): 0.0}
+
     def test_superimposed_circulation_cancels(self, tri):
         # Push a circulation big enough to reverse the direct line; the
         # cancellation must restore an acyclic flow with the same

@@ -6,12 +6,26 @@ import re
 
 import pytest
 
-from factsflow.model import Bus, BusKind, InputError, Line, Network, validate_solution
+from factsflow.model import (
+    Bus,
+    BusKind,
+    InputError,
+    Line,
+    Network,
+    ValidationReport,
+    validate_solution,
+)
 from factsflow.linprog import LpError, LpResult, solve_lp
 from factsflow.iterative import multi_start_im
 from factsflow.mip import MffConfig, solve_mff
 from factsflow.maxflow import max_flow
-from factsflow.formulations import NetworkLp, build_mff_relaxation, solve_mpf, midpoint_susceptances
+from factsflow.formulations import (
+    NetworkLp,
+    build_mff_relaxation,
+    midpoint_susceptances,
+    solve_mpf,
+    solve_mvf,
+)
 
 from conftest import (
     random_meshed_zero_lower,
@@ -124,6 +138,25 @@ class TestSolveMff:
                             lambda lp, **kwargs: LpResult("infeasible", None, None))
         with pytest.raises(LpError):
             solve_mff(tri_f)
+
+    def test_rejected_leaf_falls_back_to_mvf(self, monkeypatch):
+        # Every leaf readback fails validation, so each leaf is re-solved as
+        # an MVF with the leaf's direction bits; the optimum must not move.
+        nets = [random_small_net(seed) for seed in range(10)]
+        plain = [solve_mff(net, MffConfig(gap_tol=1e-9)).objective for net in nets]
+        rejected = ValidationReport()
+        rejected.add("test.rejected", "every leaf is rejected")
+        monkeypatch.setattr("factsflow.mip.validate_solution", lambda *args: rejected)
+        fallbacks = []
+
+        def counted_mvf(net, bits):
+            fallbacks.append(bits)
+            return solve_mvf(net, bits)
+
+        monkeypatch.setattr("factsflow.mip.solve_mvf", counted_mvf)
+        patched = [solve_mff(net, MffConfig(gap_tol=1e-9)).objective for net in nets]
+        assert fallbacks
+        assert patched == pytest.approx(plain, abs=1e-9)
 
     def test_unbounded_node_branches_on_the_infinite_line(self):
         # g-l may carry any flow; the fixed path g-b-l of capacity 3 limits
