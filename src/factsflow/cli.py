@@ -180,6 +180,8 @@ def _cmd_scenario(args) -> int:
         load_factor=args.load_factor,
     )
     config = MffConfig(gap_tol=args.gap, time_limit=args.mff_time_limit)
+    if args.trials <= 0:
+        raise InputError("trials must be positive")
     trial = functools.partial(_run_trial, net, spec, config)
 
     failed = 0

@@ -121,9 +121,12 @@ class NetworkLp:
           no direction variable;
         * otherwise: the cone-sum relaxation of both directions, through the
           parts ``(dplus, dminus, fplus, fminus)`` with ``dplus - dminus =
-          dtheta``, ``f = fplus - fminus`` and each direction's cone
+          dtheta``, ``f = fplus - fminus``, each direction's cone
           ``s_min * d_part <= f_part <= s_hi * d_part`` (``s_hi`` from
-          :func:`_cone_ceiling`).
+          :func:`_cone_ceiling`) and, on a line of finite capacity, the
+          row ``fplus + fminus <= capacity``.  With that row the relaxation
+          is the projection of the hull of the two capacity-bounded cones;
+          with one part pair pinned the row repeats ``|f| <= capacity``.
         """
         lp = self.lp
         f = self.flow[ln.key]
@@ -150,6 +153,8 @@ class NetworkLp:
         cone(parts.dplus, parts.fplus)
         cone(parts.dminus, parts.fminus)
         lp.add_constraint({f: 1.0, parts.fplus: -1.0, parts.fminus: 1.0}, "=", 0.0)
+        if math.isfinite(ln.capacity):
+            lp.add_constraint({parts.fplus: 1.0, parts.fminus: 1.0}, "<=", ln.capacity)
         self._parts[ln.key] = parts
 
     def add_balance_rows(self) -> None:

@@ -18,15 +18,20 @@ flow into nonnegative parts, one pair per cone,
     s_min * dminus <= fminus <= s_hi * dminus
     f = fplus - fminus
     flow balance at every bus, |f| <= capacity
+    fplus + fminus <= capacity
 
-relaxes the disjunction through the hull of the two *unbounded* cones
-(Balas, "Disjunctive programming: properties of the convex hull of feasible
-points", Discrete Appl. Math. 89, 1998), with no binary variable and no
-big-M.  It is not the hull of the capacity-bounded sets the model has: the
-capacity bound acts only on ``f``, and when ``s_min < s_hi`` the two cones
-sum to the whole ``(dtheta, f)`` plane.  So the root bound equals that of
-the program with the controllable lines' power law deleted; only branching
-ties a line's flow to its angles.
+relaxes the disjunction with no binary variable and no big-M.  The cone
+rows alone give the hull of the two *unbounded* cones (Balas, "Disjunctive
+programming: properties of the convex hull of feasible points", Discrete
+Appl. Math. 89, 1998), which is the whole ``(dtheta, f)`` plane when
+``s_min < s_hi``.  The last row bounds the parts: at every realisable
+point one part pair is zero, so it reads ``|f| <= capacity``, and with the
+cone rows it makes the relaxation the projection of the hull of the two
+capacity-bounded cones (compare the perspective reformulations of Günlük
+and Linderoth, Math. Program. 124, 2010).  So the root bound already ties
+each controllable line's flow to its angles, except in two cases: a line
+with ``s_min = 0`` keeps unbounded angle parts, since the row bounds only
+the flow parts, and a line of infinite capacity gets no row.
 
 The exact optimum is found by branch and bound over the direction of each
 controllable line: bit 1 pins ``dminus`` and ``fminus`` at zero, bit 0 pins

@@ -316,8 +316,11 @@ def validate_solution(net: Network, sol: LdcSolution, tol: float = DEFAULT_TOL) 
     Verifies flow conservation, the power law, susceptances within their
     intervals, flows within capacity, and the typing rules (generation only
     on generator buses, load only on load buses, both nonnegative).
-    An empty report means the solution is feasible at tolerance ``tol``.
+    An empty report means the solution is feasible at tolerance ``tol``,
+    which must be finite and nonnegative.
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise InputError("tol must be finite and nonnegative")
     report = ValidationReport()
     inj = sol.injections
 

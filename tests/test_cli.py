@@ -107,6 +107,18 @@ def test_validate_rejects_corrupted_solution(workdir):
     assert run_command(["validate", net_path, str(sol_path)]) != 0
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_validate_rejects_bad_tolerance(workdir, capsys, tol):
+    net_path = str(workdir / "toy.json")
+    sol_path = str(workdir / "sol.json")
+    assert run_command(["mpf", net_path, "-o", sol_path]) == 0
+    capsys.readouterr()
+    assert run_command(["validate", net_path, sol_path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be finite and nonnegative\n"
+
+
 def test_mpf_lp_dump(workdir):
     net_path = str(workdir / "toy.json")
     dump = workdir / "model.lp"
@@ -299,7 +311,7 @@ def test_bad_inputs_exit_nonzero(workdir, tmp_path):
     assert run_command(["mpf", str(tmp_path / "missing.json")]) == 2
 
 
-_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks and two of MffConfig's
+_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks, two of MffConfig's, the trial count
     "facts-frac": (["--facts-frac", "2"], "facts_fraction must lie in [0, 1]"),
     "seed": (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
     "remove-lines": (["--remove-lines", "-1"], "lines_removed must be nonnegative"),
@@ -307,6 +319,7 @@ _SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks and two of MffConfig's
     "interval-pct": (["--interval-pct", "-5"], "interval_pct must be nonnegative"),
     "gap": (["--gap", "inf"], "gap_tol must be finite and nonnegative"),
     "mff-time-limit": (["--mff-time-limit", "0"], "time_limit must be positive"),
+    "trials": (["--trials", "-2"], "trials must be positive"),
 }
 _CASE_REJECTIONS = {  # the case edit and the message
     "no-baseMVA": (("mpc.baseMVA = 100;\n", ""), "missing mpc.baseMVA"),

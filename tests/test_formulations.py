@@ -15,14 +15,24 @@ from factsflow.model import (
 )
 from factsflow.formulations import (
     UNBOUNDED_S_CAP,
+    NetworkLp,
+    build_mff_relaxation,
     directed_susceptance,
     extract_signs,
     midpoint_susceptances,
     solve_mpf,
     solve_mvf,
 )
+from factsflow.linprog import solve_lp
 from factsflow.maxflow import max_flow
-from conftest import random_small_net, random_unbounded_upper
+from factsflow.mip import MffConfig, solve_mff
+from conftest import (
+    random_meshed_zero_lower,
+    random_partly_unbounded,
+    random_small_net,
+    random_tree,
+    random_unbounded_upper,
+)
 from gadget_checks import enumerate_signs_oracle
 
 
@@ -112,15 +122,15 @@ class TestSolveMvf:
             assert solve_mvf(net, flipped).value == solve_mvf(net, pattern).value
 
 
-def _highs_mvf(net: Network, bits) -> float:
-    """MVF written straight from ``net`` and solved by scipy's HiGHS.
+def _highs_throughput(net: Network, controllable) -> float:
+    """Maximum throughput written straight from ``net`` and solved by
+    scipy's HiGHS, sharing no code with the package's programs.
 
-    Variables: an angle per bus, a flow per line, generation and load per
-    generator and load bus, and per controllable line an angle part ``d =
-    sgn * (theta[b] - theta[a]) >= 0`` with ``sgn`` +1 for bit 1 and -1 for
-    bit 0.  A fixed line keeps ``f = s_min * (theta[b] - theta[a])``; a
-    controllable one gets ``s_min * d <= sgn * f <= s_hi * d``, with
-    ``UNBOUNDED_S_CAP`` for ``s_hi`` on an interval unbounded above.
+    Variables: an angle per bus, a flow per line, and generation and load
+    per generator and load bus.  A fixed line keeps ``f = s_min *
+    (theta[b] - theta[a])``.  ``controllable(ln, f, ta, tb, var)`` writes a
+    controllable line's power law: ``var(lo, hi)`` adds a variable, and the
+    call returns its equality and ``<=`` rows as ``(coefficients, rhs)``.
     """
     import numpy as np
     from scipy.optimize import linprog
@@ -135,38 +145,84 @@ def _highs_mvf(net: Network, bits) -> float:
     flow = {ln.key: var(-ln.capacity, ln.capacity) for ln in net.lines}
     gen = {b.id: var(0, None) for b in net.buses if b.kind is BusKind.GENERATOR}
     load = {b.id: var(0, None) for b in net.buses if b.kind is BusKind.LOAD}
-    eq = [{} for _ in net.buses]  # bus balance: outflow - gen + load = 0
+    balance = [{} for _ in net.buses]  # outflow - gen + load = 0
     for b in net.buses:
-        eq[theta[b.id]].update({gen[b.id]: -1.0} if b.id in gen else {})
-        eq[theta[b.id]].update({load[b.id]: 1.0} if b.id in load else {})
+        balance[theta[b.id]].update({gen[b.id]: -1.0} if b.id in gen else {})
+        balance[theta[b.id]].update({load[b.id]: 1.0} if b.id in load else {})
+    eq = [(row, 0.0) for row in balance]
     le = []
     for ln in net.lines:
         f, ta, tb = flow[ln.key], theta[ln.a], theta[ln.b]
-        eq[ta][f] = eq[ta].get(f, 0.0) + 1.0
-        eq[tb][f] = eq[tb].get(f, 0.0) - 1.0
+        balance[ta][f] = balance[ta].get(f, 0.0) + 1.0
+        balance[tb][f] = balance[tb].get(f, 0.0) - 1.0
         if not ln.is_facts:
-            eq.append({f: 1.0, tb: -ln.s_min, ta: ln.s_min})
+            eq.append(({f: 1.0, tb: -ln.s_min, ta: ln.s_min}, 0.0))
             continue
-        sgn = 1.0 if bits[ln.key] == 1 else -1.0
-        s_hi = UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
-        d = var(0, None)
-        eq.append({d: 1.0, tb: -sgn, ta: sgn})
-        le.append({d: ln.s_min, f: -sgn})
-        le.append({f: sgn, d: -s_hi})
+        line_eq, line_le = controllable(ln, f, ta, tb, var)
+        eq += line_eq
+        le += line_le
 
     def dense(rows):
         out = np.zeros((len(rows), len(bounds)))
-        for r, row in enumerate(rows):
+        for r, (row, _) in enumerate(rows):
             for j, c in row.items():
                 out[r, j] += c
-        return out
+        return out, np.array([rhs for _, rhs in rows])
 
     cost = np.zeros(len(bounds))
     cost[list(gen.values())] = -1.0
-    res = linprog(cost, A_ub=dense(le) if le else None, b_ub=np.zeros(len(le)) if le else None,
-                  A_eq=dense(eq), b_eq=np.zeros(len(eq)), bounds=bounds, method="highs")
+    a_ub, b_ub = dense(le) if le else (None, None)
+    a_eq, b_eq = dense(eq)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
     assert res.status == 0, res.message
     return -res.fun
+
+
+def _s_hi(ln: Line) -> float:
+    return UNBOUNDED_S_CAP if math.isinf(ln.s_max) else ln.s_max
+
+
+def _highs_mvf(net: Network, bits) -> float:
+    """MVF by :func:`_highs_throughput`: per controllable line one angle
+    part ``d = sgn * (theta[b] - theta[a]) >= 0``, with ``sgn`` +1 for bit
+    1 and -1 for bit 0, and ``s_min * d <= sgn * f <= s_hi * d``, with
+    ``UNBOUNDED_S_CAP`` for ``s_hi`` on an interval unbounded above."""
+
+    def directed(ln, f, ta, tb, var):
+        sgn = 1.0 if bits[ln.key] == 1 else -1.0
+        d = var(0, None)
+        return ([({d: 1.0, tb: -sgn, ta: sgn}, 0.0)],
+                [({d: ln.s_min, f: -sgn}, 0.0), ({f: sgn, d: -_s_hi(ln)}, 0.0)])
+
+    return _highs_throughput(net, directed)
+
+
+def _highs_hull(net: Network) -> float:
+    """The extended form of the hull of each controllable line's two
+    capacity-bounded cones, by :func:`_highs_throughput`: parts ``d+, d-,
+    f+, f- >= 0`` with ``d+ - d- = theta[b] - theta[a]``, ``f = f+ - f-``
+    and ``s_min * d± <= f± <= s_hi * d±``, and one ``lambda`` in [0, 1]
+    with ``f+ <= cap * lambda`` and ``f- <= cap * (1 - lambda)``, plus
+    ``d+ <= (cap / s_min) * lambda`` and ``d- <= (cap / s_min) * (1 -
+    lambda)`` when ``s_min > 0``."""
+
+    def hull(ln, f, ta, tb, var):
+        dp, dm, fp, fm = (var(0, None) for _ in range(4))
+        lam = var(0, 1)
+        eq = [({dp: 1.0, dm: -1.0, tb: -1.0, ta: 1.0}, 0.0),
+              ({f: 1.0, fp: -1.0, fm: 1.0}, 0.0)]
+        le = []
+        for d, fpart in ((dp, fp), (dm, fm)):
+            le += [({d: ln.s_min, fpart: -1.0}, 0.0), ({fpart: 1.0, d: -_s_hi(ln)}, 0.0)]
+        cap = ln.capacity
+        le += [({fp: 1.0, lam: -cap}, 0.0), ({fm: 1.0, lam: cap}, cap)]
+        if ln.s_min > 0:
+            le += [({dp: 1.0, lam: -cap / ln.s_min}, 0.0),
+                   ({dm: 1.0, lam: cap / ln.s_min}, cap / ln.s_min)]
+        return eq, le
+
+    return _highs_throughput(net, hull)
 
 
 class TestMvfMatchesHighs:
@@ -188,6 +244,47 @@ class TestMvfMatchesHighs:
             ours = solve_mvf(net, bits)
             assert ours.value == pytest.approx(_highs_mvf(net, bits), rel=1e-7, abs=1e-7)
             assert validate_solution(net, ours).ok
+
+
+class TestMffRelaxationIsTheHull:
+    """The root of ``build_mff_relaxation`` is the hull of each controllable
+    line's two capacity-bounded cones, not the plain arc ``|f| <= cap``."""
+
+    FAMILIES = {
+        "small": random_small_net,
+        "tree": random_tree,
+        "zero_lower": random_meshed_zero_lower,
+        "unbounded_upper": random_unbounded_upper,
+        "partly_unbounded": random_partly_unbounded,
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_root_matches_highs_extended_form(self, family, seed):
+        pytest.importorskip("scipy.optimize")
+        net = self.FAMILIES[family](seed)
+        root = solve_lp(build_mff_relaxation(net).lp)
+        assert root.status == "optimal"
+        assert root.objective == pytest.approx(_highs_hull(net), rel=1e-7, abs=1e-7)
+
+    def test_root_lies_below_the_program_without_controllable_power_law(self):
+        # g-l may carry s in [1, 2], and the unit path g-b-l holds the angle
+        # of l at 2 or less: the power law caps g-l at 4 (MFF = 5), the
+        # relaxation at 6 (root 7), and a plain arc at its capacity 10.
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("b"), Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "l", 1.0, 2.0, 10.0), Line("g", "b", 1.0, 1.0, 1.0),
+                   Line("b", "l", 1.0, 1.0, 1.0)),
+        )
+        arcs = NetworkLp(net)
+        for ln in net.lines:
+            if not ln.is_facts:
+                arcs.add_power_law(ln, s=ln.s_min)
+        arcs.add_balance_rows()
+        arcs.set_throughput_objective()
+        assert solve_lp(arcs.lp).objective == pytest.approx(11.0, abs=1e-9)
+        assert solve_lp(build_mff_relaxation(net).lp).objective == pytest.approx(7.0, abs=1e-9)
+        assert solve_mff(net, MffConfig(gap_tol=1e-9)).objective == pytest.approx(5.0, abs=1e-9)
 
 
 class TestExtractSigns:
