@@ -48,6 +48,7 @@ __all__ = [
     "parse_case",
     "to_network",
     "apply_congestion_factors",
+    "check_removable",
     "remove_random_lines",
     "assign_facts",
     "serialize_network",
@@ -325,14 +326,20 @@ def _shuffled_regular_keys(net: Network, seed: int) -> list[LineId]:
     return keys
 
 
-def remove_random_lines(net: Network, k: int, seed: int) -> Network:
-    """Drop ``k`` distinct non-boundary lines chosen by the seeded shuffle."""
+def check_removable(net: Network, k: int) -> None:
+    """Raise :class:`InputError` unless ``net`` has ``k`` non-boundary lines
+    for :func:`remove_random_lines` to drop."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    keys = _shuffled_regular_keys(net, seed)
-    if k > len(keys):
-        raise InputError(f"cannot remove {k} of {len(keys)} non-boundary lines")
-    doomed = set(keys[:k])
+    regular = sum(ln.kind is LineKind.REGULAR for ln in net.lines)
+    if k > regular:
+        raise InputError(f"cannot remove {k} of {regular} non-boundary lines")
+
+
+def remove_random_lines(net: Network, k: int, seed: int) -> Network:
+    """Drop ``k`` distinct non-boundary lines chosen by the seeded shuffle."""
+    check_removable(net, k)
+    doomed = set(_shuffled_regular_keys(net, seed)[:k])
     return Network(buses=net.buses,
                    lines=tuple(ln for ln in net.lines if ln.key not in doomed))
 

@@ -16,17 +16,21 @@ Two linear programs are the workhorses of the whole package:
   each line's opposite cone parts pinned at zero.  Fixed lines take no bit.
 
 Both never come back infeasible: the all-zero operating point satisfies any
-choice of directions.  Alongside them live the glue utilities that move
-between the two worlds: reading direction bits off phase angles, and a
-line's susceptance off a solved program's angle part and flow.
+choice of directions.  Both take an optional start basis: an MPF starts
+from the basis of the MPF at other susceptances (:attr:`SolvedPoint.basis`),
+an MVF from that of the unpinned relaxation (:func:`relaxation_basis`).
+Alongside them live the glue utilities that move between the two worlds:
+reading direction bits off phase angles, and a line's susceptance off a
+solved program's angle part and flow.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .linprog import LinearProgram, LpError, solve_lp
+from .linprog import LinearProgram, LpBasis, LpError, solve_lp
 from .model import (
     BusKind,
     InjectionSolution,
@@ -38,8 +42,10 @@ from .model import (
 
 __all__ = [
     "NetworkLp",
+    "SolvedPoint",
     "UNBOUNDED_S_CAP",
     "build_mff_relaxation",
+    "relaxation_basis",
     "solve_mpf",
     "solve_mvf",
     "extract_signs",
@@ -270,17 +276,29 @@ def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None) -> 
     return builder
 
 
-def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None) -> LdcSolution:
+@dataclass(frozen=True)
+class SolvedPoint(LdcSolution):
+    """An MPF optimum, with the optimal basis it was read from."""
+
+    basis: LpBasis | None = field(default=None, compare=False, repr=False)
+
+
+def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
+              basis: LpBasis | None = None) -> SolvedPoint:
     """Maximum throughput with susceptances pinned at ``s``.
 
     ``s`` must lie inside each line's interval; lines omitted from ``s``
     default to ``s_min``.  Never infeasible (the zero point always works).
+    ``basis``, the :attr:`SolvedPoint.basis` of an MPF of the same network at
+    other susceptances, is where the simplex starts (see
+    :func:`linprog.solve_lp`).
     """
     builder = build_mpf_program(net, s)
-    res = solve_lp(builder.lp)
+    res = solve_lp(builder.lp, basis=basis)
     if res.status != "optimal":
         raise LpError(f"fixed-susceptance solve returned {res.status}")
-    return builder.solution(res.x)
+    point = builder.solution(res.x)
+    return SolvedPoint(point.susceptance, point.theta, point.injections, res.basis)
 
 
 def build_mff_relaxation(net: Network) -> NetworkLp:
@@ -294,7 +312,14 @@ def build_mff_relaxation(net: Network) -> NetworkLp:
     return builder
 
 
-def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
+def relaxation_basis(net: Network) -> LpBasis | None:
+    """The optimal basis of the MFF relaxation, solved cold; ``None`` when
+    the relaxation is unbounded."""
+    return solve_lp(build_mff_relaxation(net).lp).basis
+
+
+def solve_mvf(net: Network, bits: Mapping[LineId, int],
+              basis: LpBasis | None = None) -> LdcSolution:
     """Maximum throughput with angle-difference directions pinned by ``bits``.
 
     Bit 1 on controllable line ``(a, b)`` means ``theta[b] - theta[a] >=
@@ -305,7 +330,9 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
     pinned at zero, so susceptances float inside their intervals, with
     ``UNBOUNDED_S_CAP`` standing in for an infinite ``s_max`` (see the
     constant's note).  A vertex with flow across a vanishing angle part maps
-    back to no susceptance and raises :class:`LpError`.
+    back to no susceptance and raises :class:`LpError`.  ``basis``, typically
+    the relaxation's own (:func:`relaxation_basis`), is where the simplex
+    starts; pinning only tightens bounds, so it stays dual feasible.
     """
     for ln in net.facts_lines():
         bit = bits.get(ln.key)
@@ -313,7 +340,7 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
             raise InputError(f"controllable line {ln.a}-{ln.b} needs direction bit 0 or 1, "
                              f"not {bit!r}")
     builder = build_mff_relaxation(net)
-    res = solve_lp(builder.lp, builder.pin(bits))
+    res = solve_lp(builder.lp, builder.pin(bits), basis)
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
     sol = builder.solution(res.x, bits)

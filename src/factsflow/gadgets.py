@@ -160,7 +160,10 @@ def build_choice_network(x: Fraction | float) -> ChoiceNetwork:
     Nothing here checks the behaviour; the emission sweep in
     ``tests/gadget_checks.py`` does.
     """
-    x = Fraction(x).limit_denominator(10**9)
+    try:
+        x = Fraction(x).limit_denominator(10**9)
+    except (ValueError, OverflowError):  # NaN or infinite
+        raise InputError("gadget scale must be finite") from None
     parts = default_choice_builder(x, _PORT, f"{_PORT}.")
     net = Network(buses=(Bus(_PORT),) + tuple(parts.buses), lines=tuple(parts.lines))
     return ChoiceNetwork(net=net, port=_PORT, expected_inner_opt=parts.expected_inner_opt)

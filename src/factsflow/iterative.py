@@ -10,6 +10,24 @@ the direction phase fails to improve on the susceptance phase.  The result
 is a feasible operating point and therefore a lower bound for the exact
 solver, which it can warm start.
 
+Each family of programs is solved from scratch once per network, at a
+fixed anchor, and every other solve of the family starts from the anchor's
+optimal basis (see :func:`linprog.solve_lp`):
+
+* the MPF anchor is the MPF with every line at ``s_min``, the lower start's
+  first step; every other MPF differs from it only in the coefficients of
+  the power-law rows;
+* the MVF anchor is the unpinned MFF relaxation, solved the first time an
+  MVF is needed; an MVF only pins parts at zero, so the anchor's basis
+  stays dual feasible and the MVF gets the short repair a branch-and-bound
+  child gets.  Its basis is also where the exact search's root can start
+  (:attr:`MultiStartResult.relaxation_basis`).
+
+Because the anchors are fixed, every MPF and MVF optimum depends only on
+its network and susceptances or bits, not on which solves came before; a
+run from a single start other than ``lower`` pays one extra MPF, its
+anchor.
+
 The three-start variant runs the loop from the interval lower bounds, upper
 bounds and midpoints, returning the best of the three.  The starts share the
 programs they solve: an MPF optimum is kept under the tuple of susceptances
@@ -23,13 +41,16 @@ earlier start already paid for.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .linprog import LpBasis, LpError
 from .model import InputError, LdcSolution, Network
-from .formulations import extract_signs, midpoint_susceptances, solve_mpf, solve_mvf
+from .formulations import (extract_signs, midpoint_susceptances, relaxation_basis, solve_mpf,
+                           solve_mvf)
 
 __all__ = ["ImTrace", "ImResult", "MultiStartResult", "solve_im", "multi_start_im",
            "start_susceptances"]
@@ -67,6 +88,9 @@ class ImResult:
 class MultiStartResult:
     best: ImResult
     runs: dict[str, ImResult]
+    #: The optimal basis of the MFF relaxation, ``None`` when it is
+    #: unbounded: the root start of :func:`mip.solve_mff`.
+    relaxation_basis: LpBasis | None = None
 
     @property
     def value(self) -> float:
@@ -97,30 +121,48 @@ def start_susceptances(net: Network, which: str) -> dict[LineId, float]:
 
 
 class _SolvedPrograms:
-    """The MPF and MVF optima solved so far on one network.
+    """The MPF and MVF optima solved so far on one network, and the bases
+    of the two anchors, each solved before any other program of its family.
 
-    Each is keyed by all that its solve reads: MPF by the susceptance of
-    every line, MVF by the bit of every controllable line (fixed lines take
-    none).  Solves call this module's ``solve_mpf`` and ``solve_mvf`` names, so
-    a patched name sees every real solve.
+    Each optimum is keyed by all that its solve reads: MPF by the
+    susceptance of every line, MVF by the bit of every controllable line
+    (fixed lines take none).  Solves call this module's ``solve_mpf``,
+    ``solve_mvf`` and ``relaxation_basis`` names, so a patched name sees
+    every real solve.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self._facts = net.facts_lines()
+        self._lower = tuple(ln.s_min for ln in net.lines)
         self._mpf: dict[tuple, LdcSolution] = {}
         self._mvf: dict[tuple, LdcSolution] = {}
 
+    @functools.cached_property
+    def _mpf_anchor(self) -> LpBasis | None:
+        try:
+            point = solve_mpf(self.net)
+        except LpError:  # unbounded at s_min: every MPF starts cold
+            return None
+        self._mpf[self._lower] = point
+        return point.basis
+
+    @functools.cached_property
+    def relaxation(self) -> LpBasis | None:
+        """The MVF anchor: the optimal basis of the MFF relaxation."""
+        return relaxation_basis(self.net)
+
     def mpf(self, s: Mapping[LineId, float]) -> LdcSolution:
         key = tuple(s.get(ln.key, ln.s_min) for ln in self.net.lines)
+        anchor = self._mpf_anchor  # solved, and stored, before any other MPF
         if key not in self._mpf:
-            self._mpf[key] = solve_mpf(self.net, s)
+            self._mpf[key] = solve_mpf(self.net, s, basis=anchor)
         return self._mpf[key]
 
     def mvf(self, bits: Mapping[LineId, int]) -> LdcSolution:
         key = tuple(bits.get(ln.key) for ln in self._facts)
         if key not in self._mvf:
-            self._mvf[key] = solve_mvf(self.net, bits)
+            self._mvf[key] = solve_mvf(self.net, bits, basis=self.relaxation)
         return self._mvf[key]
 
 
@@ -173,10 +215,11 @@ def multi_start_im(net: Network) -> MultiStartResult:
     visited replays the rest of that trajectory from the store, so each run
     equals a separate :func:`solve_im` from its start, but the
     ``trace.wall_time`` of a later start leaves out the solves an earlier
-    start already paid for.
+    start already paid for.  The result carries the relaxation's optimal
+    basis, the MVF anchor, for :func:`mip.solve_mff` to start its root from.
     """
     solved = _SolvedPrograms(net)
     runs = {which: _solve_im(net, start_susceptances(net, which), solved)
             for which in ("lower", "upper", "mid")}
     best = max(runs.values(), key=lambda r: r.value)
-    return MultiStartResult(best=best, runs=runs)
+    return MultiStartResult(best=best, runs=runs, relaxation_basis=solved.relaxation)

@@ -14,12 +14,22 @@ simplex method", 2003): it pivots only while some slack lies outside its
 bounds.  When no row breaks at zero, as for MPF, MVF and the MFF relaxation
 (whose all-zero operating point is feasible), it stops at once.
 
-A warm solve starts instead from a given basis, typically the optimal
-:attr:`LpResult.basis` of the same program under other bounds, as in the
-MFF branch and bound, where a child pins two columns of its parent at zero.
-The tableau is refactorised on that basis, which stays dual feasible under
-tightened bounds, and the dual simplex runs with the program's costs,
-repairing the basic columns that the new bounds put outside their bounds.
+A warm solve starts instead from a given basis: any basis of a program of
+the same shape, typically the optimal :attr:`LpResult.basis` of the same
+program under other bounds or other coefficients.  The tableau is
+refactorised on it, and the start is priced:
+
+* dual feasible, as a basis stays when bounds only tighten (an MFF branch
+  and bound child pins two columns of its parent at zero; an MVF pins
+  parts of the unpinned relaxation): the dual simplex runs with the
+  program's costs, repairing the basic columns that the new bounds put
+  outside their bounds;
+* not dual feasible, as after loosened bounds or changed coefficients (an
+  MPF started from the MPF at other susceptances): the dual simplex runs
+  with zero costs, a primal phase 1 from that basis;
+* singular for the program, or with an inverse entry above 1e12: it is
+  dropped and the solve starts cold.
+
 Either way, primal phase 2 follows; from a dual feasible basis it finds
 nothing eligible.
 
@@ -80,6 +90,15 @@ _COST_EPS = 1e-11
 _PRIMAL_TOL = 1e-9
 #: The dual ratio test ignores entries of the pivot row at or below this.
 _DUAL_PIVOT_TOL = 1e-9
+#: A reduced cost above this magnitude is significant: the primal simplex
+#: fails rather than skip such a column for want of a stable pivot, and a
+#: start basis is dual feasible while no reduced cost favours moving a
+#: nonbasic column by more.
+_SIGNIFICANT_COST = 1e-7
+#: A start basis whose inverse has an entry above this in magnitude is
+#: treated as singular: the programs here have coefficients of order 1, so
+#: such a basis is within rounding of a singular one.
+_MAX_START_INVERSE = 1e12
 
 # Nonbasic statuses, then basic.  ``_AT_ZERO`` is a nonbasic column resting
 # at 0 strictly between its bounds (either of which may be infinite): it may
@@ -227,7 +246,9 @@ class _Tableau:
     projected onto its bounds.  With ``start``, its basis and statuses are
     taken over and the tableau is factorised on them; a nonbasic status
     that names an infinite bound, or zero where zero is not strictly between
-    the bounds, is replaced by the one at 0 projected onto the bounds.
+    the bounds, is replaced by the one at 0 projected onto the bounds.  A
+    start basis that is singular, or whose inverse has an entry above
+    ``_MAX_START_INVERSE``, raises :class:`LpError`.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
@@ -255,6 +276,9 @@ class _Tableau:
                   | ((stat == _AT_ZERO) & ((lb >= 0.0) | (ub <= 0.0))))
         self.stat[misfit] = _rest_at_zero(lb, ub)[misfit]
         self.refresh()
+        # The slack columns of ``inv(B) @ A`` are ``inv(B)`` itself.
+        if np.abs(self.T[:, self.N - self.m:]).max(initial=0.0) > _MAX_START_INVERSE:
+            raise LpError("singular basis")
 
     def nonbasic_value(self, j: int) -> float:
         if self.stat[j] == _AT_LB:
@@ -282,6 +306,15 @@ class _Tableau:
             raise LpError("singular basis") from exc
         self.exchanges = 0
         self.price(self.c)
+
+    def dual_feasible(self, c: np.ndarray) -> bool:
+        """Price the costs ``c`` and say whether the basis is dual feasible
+        for them: no nonbasic column may move in the direction its reduced
+        cost improves by more than ``_SIGNIFICANT_COST``."""
+        self.price(c)
+        rises, falls = self.directions(slice(None))
+        improving = (rises & (self.d > _SIGNIFICANT_COST)) | (falls & (self.d < -_SIGNIFICANT_COST))
+        return not improving.any()
 
     def price(self, c: np.ndarray) -> None:
         """Keep the costs ``c`` and compute their reduced costs afresh."""
@@ -409,7 +442,7 @@ class _Tableau:
                 p = int(near[np.abs(s[near]).argmax()])
                 r = int(rows[p])
                 if abs(s[p]) < pivot_tol:
-                    if abs(d[j]) > 1e-7:
+                    if abs(d[j]) > _SIGNIFICANT_COST:
                         skipped_significant = True
                     continue
                 t = float(min(ratio[p], t_flip))
@@ -542,10 +575,12 @@ def solve_lp(lp: LinearProgram,
     the dual simplex with zero costs (a primal phase 1) brings every basic
     column within its bounds.  When the start violates no row, it stops at once.
 
-    With ``basis`` (an optimal :attr:`LpResult.basis` of ``lp``, possibly
-    under other bounds), the tableau is refactorised on it and the dual
-    simplex runs with the program's costs.  It needs a dual feasible start,
-    which tightening bounds keeps.
+    With ``basis``, any basis of a program with ``lp``'s rows and columns
+    (typically an optimal :attr:`LpResult.basis` of ``lp`` under other
+    bounds or coefficients), the tableau is refactorised on it.  The dual
+    simplex runs with the program's costs when the start is dual feasible
+    for them, as tightening bounds keeps it, and with zero costs otherwise.
+    A start that is singular for ``lp`` is dropped for the cold one.
 
     Either way, primal phase 2 follows from the feasible basis.
 
@@ -559,12 +594,23 @@ def solve_lp(lp: LinearProgram,
     """
     A, b, lb, ub, c = _standard_form(lp, bound_overrides)
     m, N = A.shape
-    if basis is not None and (basis.columns.shape != (m,) or basis.status.shape != (N,)):
-        raise ValueError(f"basis does not fit a program of {m} rows and {N} columns")
-    tab = _Tableau(A, b, lb, ub, basis)
-    # Every basis is dual feasible for zero costs, so from the slack basis
-    # the dual simplex is a primal phase 1.
-    if tab.dual_simplex(np.zeros(N) if basis is None else c) == "infeasible":
+    tab = None
+    if basis is not None:
+        if basis.columns.shape != (m,) or basis.status.shape != (N,):
+            raise ValueError(f"basis does not fit a program of {m} rows and {N} columns")
+        try:
+            tab = _Tableau(A, b, lb, ub, basis)
+        except LpError:  # singular for this program: start cold
+            pass
+    # Every basis is dual feasible for zero costs, so from the slack basis,
+    # or from a start that is not dual feasible for ``c``, the dual simplex
+    # runs as a primal phase 1.
+    if tab is not None and tab.dual_feasible(c):
+        dual_costs = c
+    else:
+        tab = tab or _Tableau(A, b, lb, ub)
+        dual_costs = np.zeros(N)
+    if tab.dual_simplex(dual_costs) == "infeasible":
         return LpResult("infeasible", None, None)
     if tab.simplex(c) == "unbounded":
         return LpResult("unbounded", None, None)

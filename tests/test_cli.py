@@ -311,7 +311,9 @@ def test_bad_inputs_exit_nonzero(workdir, tmp_path):
     assert run_command(["mpf", str(tmp_path / "missing.json")]) == 2
 
 
-_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks, two of MffConfig's, the trial count
+_SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks, two of MffConfig's, the trial count,
+    # the lines the network has to remove (toy.json has 3 non-boundary lines)
+    "too-many-lines": (["--remove-lines", "4"], "cannot remove 4 of 3 non-boundary lines"),
     "facts-frac": (["--facts-frac", "2"], "facts_fraction must lie in [0, 1]"),
     "seed": (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
     "remove-lines": (["--remove-lines", "-1"], "lines_removed must be nonnegative"),
@@ -352,6 +354,18 @@ def test_rejected_input_is_one_error_line(workdir, capsys, rejection):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("x, message", [("nan", "gadget scale must be finite"),
+                                        ("inf", "gadget scale must be finite"),
+                                        ("0", "gadget scale must be positive")])
+def test_choice_gadget_scale_is_checked(tmp_path, capsys, x, message):
+    out = tmp_path / "g.json"
+    assert run_command(["encode", "choice-gadget", "--x", x, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _unknown_bus(doc):

@@ -101,36 +101,60 @@ class TestSharedSolves:
 
     @staticmethod
     def _count_solves(monkeypatch, net):
-        """Run ``multi_start_im`` on ``net``; return it and the keys each solve got."""
+        """Run ``multi_start_im`` on ``net``; return it, the keys each solve
+        got and the solves (``mpf``, ``mvf`` or ``relaxation``) that started
+        without a basis."""
         keys = {"mpf": [], "mvf": []}
+        cold = []
 
-        def mpf(net_, s):
-            keys["mpf"].append(tuple(s.get(ln.key, ln.s_min) for ln in net_.lines))
-            return formulations.solve_mpf(net_, s)
+        def mpf(net_, s=None, **kwargs):
+            keys["mpf"].append(tuple((s or {}).get(ln.key, ln.s_min) for ln in net_.lines))
+            if kwargs.get("basis") is None:
+                cold.append("mpf")
+            return formulations.solve_mpf(net_, s, **kwargs)
 
-        def mvf(net_, bits):
+        def mvf(net_, bits, **kwargs):
             keys["mvf"].append(tuple(bits[ln.key] for ln in net_.facts_lines()))
-            return formulations.solve_mvf(net_, bits)
+            if kwargs.get("basis") is None:
+                cold.append("mvf")
+            return formulations.solve_mvf(net_, bits, **kwargs)
+
+        def relaxation(net_):
+            cold.append("relaxation")
+            return formulations.relaxation_basis(net_)
 
         monkeypatch.setattr(iterative, "solve_mpf", mpf)
         monkeypatch.setattr(iterative, "solve_mvf", mvf)
-        return multi_start_im(net), keys
+        monkeypatch.setattr(iterative, "relaxation_basis", relaxation)
+        return multi_start_im(net), keys, cold
 
     def test_no_program_is_solved_twice(self, monkeypatch):
         for seed in range(20):
-            _, keys = self._count_solves(monkeypatch, random_small_net(seed))
+            _, keys, _ = self._count_solves(monkeypatch, random_small_net(seed))
             for phase, seen in keys.items():
                 assert len(seen) == len(set(seen)), (seed, phase)
 
     def test_fixed_network_solves_each_program_once(self, monkeypatch, tri):
-        res, keys = self._count_solves(monkeypatch, tri)
+        res, keys, _ = self._count_solves(monkeypatch, tri)
         assert len(res.runs) == 3
         assert (len(keys["mpf"]), len(keys["mvf"])) == (1, 1)
 
     def test_starts_that_meet_share_their_direction_solve(self, monkeypatch):
-        res, keys = self._count_solves(monkeypatch, random_small_net(0))
+        res, keys, _ = self._count_solves(monkeypatch, random_small_net(0))
         rounds = sum(run.trace.iterations for run in res.runs.values())
         assert len(keys["mvf"]) < rounds
+
+    @pytest.mark.parametrize("family", [random_small_net, random_tree, random_meshed_zero_lower,
+                                        random_unbounded_upper, random_partly_unbounded])
+    def test_one_cold_solve_per_anchor(self, monkeypatch, family):
+        """Only the two anchors start cold: the MPF at ``s_min`` and the MFF
+        relaxation, whose basis the result hands on to the exact search."""
+        for seed in range(5):
+            net = family(seed)
+            res, keys, cold = self._count_solves(monkeypatch, net)
+            assert sorted(cold) == ["mpf", "relaxation"], (family.__name__, seed)
+            assert keys["mpf"][0] == tuple(ln.s_min for ln in net.lines)
+            assert res.relaxation_basis is not None
 
 
 def test_heuristic_warm_starts_the_exact_solver(tri_f):

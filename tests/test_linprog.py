@@ -17,7 +17,7 @@ from factsflow.formulations import (
 )
 from factsflow.linprog import LinearProgram, LpError, lp_format, solve_lp
 
-from conftest import random_meshed_zero_lower
+from conftest import random_meshed_zero_lower, random_small_net, random_tree, random_unbounded_upper
 from gadget_checks import pinned_overrides
 
 INF = math.inf
@@ -484,6 +484,163 @@ def test_warm_start_after_tightening_matches_highs(monkeypatch):
             assert warm.objective == pytest.approx(value, rel=1e-7, abs=1e-7), lp_format(tight)
     assert min(seen.values()) >= 20, seen
     assert phase2_pivots == []
+
+
+def _recording_phase_choices(monkeypatch) -> list[bool]:
+    """Record whether each start basis was dual feasible for its costs, so
+    that the dual simplex ran with them rather than as a phase 1."""
+    choices = []
+    dual_feasible = linprog._Tableau.dual_feasible
+
+    def recording(self, c):
+        choices.append(dual_feasible(self, c))
+        return choices[-1]
+
+    monkeypatch.setattr(linprog._Tableau, "dual_feasible", recording)
+    return choices
+
+
+def _warm_matches_cold_and_highs(lp: LinearProgram, overrides, basis):
+    """Solve ``lp`` under ``overrides`` from ``basis`` and cold: both match
+    HiGHS in status, and in objective within 1e-9 relative."""
+    warm = solve_lp(lp, overrides, basis)
+    cold = solve_lp(lp, overrides)
+    status, value = _highs(lp, overrides)
+    assert warm.status == cold.status == status, (lp_format(lp), overrides)
+    if status == "optimal":
+        for res in (warm, cold):
+            assert res.objective == pytest.approx(value, rel=1e-9, abs=1e-9), (lp_format(lp),
+                                                                               overrides)
+    return warm
+
+
+def _redrawn(lp: LinearProgram, rng: random.Random) -> LinearProgram:
+    """``lp`` with every row coefficient and cost drawn again, on the same
+    nonzero pattern."""
+    other = copy.deepcopy(lp)
+    other.rows = [{j: float(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])) for j in row}
+                  for row in lp.rows]
+    other.objective = {j: float(rng.randint(-3, 3)) for j in lp.objective}
+    return other
+
+
+def test_warm_start_from_other_coefficients_matches_highs(monkeypatch):
+    """A start basis may come from the same program under other
+    coefficients, as each MPF of the alternating heuristic starts from the
+    MPF at ``s_min``: the start can then be neither primal nor dual
+    feasible, and the dual simplex runs as a phase 1 when it is not dual
+    feasible.  Random programs start from the basis of the program with
+    its coefficients drawn again."""
+    pytest.importorskip("scipy.optimize")
+    choices = _recording_phase_choices(monkeypatch)
+    rng = random.Random(20261024)
+    for family, seeds in ((random_small_net, range(15)), (random_tree, range(5)),
+                          (random_meshed_zero_lower, range(5)),
+                          (random_unbounded_upper, range(5))):
+        for seed in seeds:
+            net = family(seed)
+            anchor = solve_lp(build_mpf_program(net).lp)
+            drawn = {ln.key: rng.uniform(ln.s_min, min(ln.s_max, ln.s_min + 3.0))
+                     for ln in net.lines}
+            for point in (midpoint_susceptances(net), drawn):
+                _warm_matches_cold_and_highs(build_mpf_program(net, point).lp, None,
+                                             anchor.basis)
+    mpf_choices = len(choices)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for k in range(800):
+        lp = _random_program(rng) if k % 2 else _degenerate_program(rng)
+        start = solve_lp(lp)
+        if start.basis is not None:
+            seen[_warm_matches_cold_and_highs(_redrawn(lp, rng), None, start.basis).status] += 1
+    assert min(seen.values()) >= 10, seen
+    assert not all(choices[:mpf_choices]) and any(choices[:mpf_choices])
+    assert min(choices.count(True), choices.count(False)) >= 50
+
+
+def _loosened(lp: LinearProgram, overrides, rng: random.Random) -> dict[int, tuple[float, float]]:
+    """``overrides`` with 1-2 more variables of ``lp`` given wider bounds:
+    lowered or dropped lower bounds, raised or dropped upper ones."""
+    loose = dict(overrides)
+    for j in rng.sample(range(lp.num_vars), rng.randint(1, min(2, lp.num_vars))):
+        if j in loose:
+            continue
+        lo = rng.choice([lp.lb[j], lp.lb[j] - rng.randint(1, 3), -INF])
+        hi = rng.choice([lp.ub[j], lp.ub[j] + rng.randint(1, 3), INF])
+        loose[j] = (lo, hi)
+    return loose
+
+
+def test_warm_start_after_loosening_and_tightening_matches_highs(monkeypatch):
+    """Bounds that both loosen and tighten, as a change of direction bits
+    does, can leave the start basis neither primal nor dual feasible: a
+    loosened bound frees a nonbasic column whose reduced cost favours
+    moving it."""
+    pytest.importorskip("scipy.optimize")
+    choices = _recording_phase_choices(monkeypatch)
+    rng = random.Random(20261025)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for k in range(1000):
+        lp = _random_program(rng) if k % 2 else _degenerate_program(rng)
+        cold = solve_lp(lp)
+        if cold.basis is None:
+            continue
+        overrides = _loosened(lp, _tightened(lp, cold, rng), rng)
+        seen[_warm_matches_cold_and_highs(lp, overrides, cold.basis).status] += 1
+    assert min(seen.values()) >= 20, seen
+    assert min(choices.count(True), choices.count(False)) >= 30
+
+
+def _with_column_like(lp: LinearProgram, j: int, k: int, n: int, scale: float) -> LinearProgram:
+    """``lp`` with column ``j`` replaced by ``scale`` times column ``k`` (a
+    slack when ``k >= n``)."""
+    other = copy.deepcopy(lp)
+    column = ({i: row[k] for i, row in enumerate(lp.rows) if k in row} if k < n
+              else {k - n: 1.0})
+    for i, row in enumerate(other.rows):
+        row.pop(j, None)
+        if i in column:
+            row[j] = scale * column[i]
+    return other
+
+
+@pytest.mark.parametrize("scale", [1.0, -3.0, 0.1])
+def test_singular_start_basis_is_dropped(monkeypatch, scale):
+    """A start basis that is singular for the program is dropped and the
+    solve starts cold: it gives the cold solve's vertex bit for bit.  Here
+    one basic column of a solved program is made a multiple of another;
+    the multiples 3 and 0.1 leave rounding in the factorisation, so only
+    the check on the size of ``inv(B)`` finds some of them singular."""
+    pytest.importorskip("scipy.optimize")
+    dropped = []
+    init = linprog._Tableau.__init__
+
+    def recording(self, A, b, lb, ub, start=None):
+        try:
+            init(self, A, b, lb, ub, start)
+        except LpError:
+            dropped.append(start)
+            raise
+
+    monkeypatch.setattr(linprog._Tableau, "__init__", recording)
+    rng = random.Random(20261026)
+    starts = 0
+    for k in range(400):
+        lp = _random_program(rng) if k % 2 else _degenerate_program(rng)
+        res = solve_lp(lp)
+        n = lp.num_vars
+        basic = [] if res.basis is None else [int(c) for c in res.basis.columns]
+        structural = [c for c in basic if c < n]
+        if not structural or len(basic) < 2:
+            continue
+        j = rng.choice(structural)
+        singular = _with_column_like(lp, j, rng.choice([c for c in basic if c != j]), n, scale)
+        warm = _warm_matches_cold_and_highs(singular, None, res.basis)
+        cold = solve_lp(singular)
+        assert (warm.x is None) == (cold.x is None)
+        if warm.x is not None:
+            assert np.array_equal(warm.x, cold.x)
+        starts += 1
+    assert len(dropped) == starts >= 50
 
 
 def test_unchanged_program_resolves_from_its_basis_without_a_pivot(monkeypatch):
