@@ -18,7 +18,12 @@ Two linear programs are the workhorses of the whole package:
 Both never come back infeasible: the all-zero operating point satisfies any
 choice of directions.  Both take an optional start basis: an MPF starts
 from the basis of the MPF at other susceptances (:attr:`SolvedPoint.basis`),
-an MVF from that of the unpinned relaxation (:func:`relaxation_basis`).
+an MVF from that of the unpinned relaxation (:func:`relaxation_basis`).  A
+solve given no basis starts from its program's spanning tree
+(:meth:`NetworkLp.start_basis`), the textbook network-simplex basis (Ahuja,
+Magnanti and Orlin, "Network Flows", 1993), at the all-zero point; a
+program of more than :data:`_TREE_START_MAX_ROWS` rows starts from the
+slack basis instead.
 Alongside them live the glue utilities that move between the two worlds:
 reading direction bits off phase angles, and a line's susceptance off a
 solved program's angle part and flow.
@@ -27,10 +32,11 @@ solved program's angle part and flow.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .linprog import LinearProgram, LpBasis, LpError, solve_lp
+from .linprog import LinearProgram, LpBasis, LpError, rest_basis, solve_lp
 from .model import (
     BusKind,
     InjectionSolution,
@@ -70,6 +76,35 @@ _TIE_TOL = 1e-9
 #: large ceilings directly degrade the achievable objective accuracy.
 UNBOUNDED_S_CAP = 100.0
 
+#: Programs of more than this many rows get no spanning-tree start from
+#: :meth:`NetworkLp.start_basis` and start from the slack basis.  The dense
+#: tableau is ``inv(B) @ A``: the slack basis keeps it as sparse as ``A``,
+#: while the tree's inverse fills it (36 % nonzero against 1.6 % at the
+#: start of a 100-bus MPF), so each pivot costs more than the pivots the
+#: tree saves once programs pass about 200 rows.  Tree-start CPU over
+#: slack-start CPU, three synthetic cases per size (30 % controllable lines
+#: at +/-30 %, generation and demand scaled by 3), with the simplex
+#: exchanges of the three:
+#:
+#: ======  ========  =========  ============  ========  =========  ============
+#: buses   MPF rows  tree/cold  exchanges     relax.    tree/cold  exchanges
+#: ======  ========  =========  ============  ========  =========  ============
+#: 8       37        0.40       138 -> 30     55        0.58       172 -> 64
+#: 15      70        0.42       251 -> 52     106       0.76       365 -> 147
+#: 30      140       0.71       503 -> 117    212       1.22       646 -> 249
+#: 45      210       0.85       778 -> 182    318       0.95       1,096 -> 468
+#: 60      280       1.15       1,070 -> 269  430       1.25       1,511 -> 656
+#: 100     466       1.62       1,726 -> 432  718       2.38       2,359 -> 1,107
+#: ======  ========  =========  ============  ========  =========  ============
+#:
+#: A simplex that factors the basis instead of keeping the dense tableau
+#: would not pay for the fill, and this cutoff would go.
+_TREE_START_MAX_ROWS = 150
+
+#: The link row ``f = fplus - fminus`` of a controllable line comes this many
+#: rows after its angle row, past the four cone rows.
+_LINK_ROW = 5
+
 
 class ConeParts(NamedTuple):
     """Indices of one controllable line's parts in the cone-sum relaxation."""
@@ -98,8 +133,8 @@ class NetworkLp:
         for bus in net.buses:
             self.theta[bus.id] = self.lp.add_var(f"theta[{bus.id}]", -math.inf, math.inf)
         # Pin one reference angle per connected component.
-        for comp in net.components():
-            ref = comp[0]
+        self._refs = [comp[0] for comp in net.components()]
+        for ref in self._refs:
             idx = self.theta[ref]
             self.lp.lb[idx] = 0.0
             self.lp.ub[idx] = 0.0
@@ -115,10 +150,13 @@ class NetworkLp:
             self.flow[ln.key] = self.lp.add_var(
                 f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity
             )
-        # The cone parts of each line written as a cone sum, and the
-        # susceptance of each line written with a fixed ``s``.
+        # The cone parts of each line written as a cone sum, the
+        # susceptance of each line written with a fixed ``s``, the first
+        # row of each line's power law and the first balance row.
         self._parts: dict[LineId, ConeParts] = {}
         self._fixed: dict[LineId, float] = {}
+        self._law_row: dict[LineId, int] = {}
+        self._balance_row: int | None = None
 
     def add_power_law(self, ln: Line, s: float | None = None) -> None:
         """Write line ``ln``'s power law.
@@ -138,6 +176,7 @@ class NetworkLp:
         f = self.flow[ln.key]
         ta, tb = self.theta[ln.a], self.theta[ln.b]
         tag = f"{ln.a}-{ln.b}"
+        self._law_row[ln.key] = lp.num_rows
         if s is not None:
             self._fixed[ln.key] = s
             if s > 1.0:  # scale large susceptances out of the row for conditioning
@@ -169,6 +208,7 @@ class NetworkLp:
             f = self.flow[ln.key]
             per_bus[ln.a][f] = per_bus[ln.a].get(f, 0.0) + 1.0
             per_bus[ln.b][f] = per_bus[ln.b].get(f, 0.0) - 1.0
+        self._balance_row = self.lp.num_rows
         for bus in self.net.buses:
             coeffs = dict(per_bus[bus.id])
             if bus.id in self.gen:
@@ -179,6 +219,60 @@ class NetworkLp:
 
     def set_throughput_objective(self) -> None:
         self.lp.set_objective({idx: 1.0 for idx in self.gen.values()})
+
+    def start_basis(self) -> LpBasis | None:
+        """The spanning-tree start basis of the built program, at the
+        all-zero point, which is feasible for every network program; ``None``
+        for a program of more than :data:`_TREE_START_MAX_ROWS` rows.
+
+        A breadth-first spanning forest grows from each component's
+        reference bus over the lines whose power law ties their two angles
+        (a line fixed at ``s = 0`` does not).  A tree line into bus ``v``
+        makes ``theta[v]`` basic in its angle row (the fixed line's
+        equality, or ``dplus - dminus = theta[b] - theta[a]``), its flow
+        basic in ``v``'s balance row and, on a controllable line, ``fplus``
+        basic in the link row ``f = fplus - fminus``.  Any other fixed line
+        has its flow basic in its own row, and any other controllable line
+        ``dplus`` in its angle row and its flow in its link row.  Every
+        other row keeps its slack, and every nonbasic column rests at 0
+        projected onto its bounds.
+        """
+        lp, net = self.lp, self.net
+        if lp.num_rows > _TREE_START_MAX_ROWS:
+            return None
+        columns = list(range(lp.num_vars, lp.num_vars + lp.num_rows))
+        ties: dict[str, list[tuple[Line, str]]] = {b.id: [] for b in net.buses}
+        for ln in net.lines:
+            if ln.key in self._law_row and self._fixed.get(ln.key) != 0.0:
+                ties[ln.a].append((ln, ln.b))
+                ties[ln.b].append((ln, ln.a))
+        balance = {b.id: self._balance_row + i for i, b in enumerate(net.buses)}
+        tree: set[LineId] = set()
+        for ref in self._refs:
+            reached, queue = {ref}, deque([ref])
+            while queue:
+                for ln, v in ties[queue.popleft()]:
+                    if v in reached:
+                        continue
+                    reached.add(v)
+                    queue.append(v)
+                    tree.add(ln.key)
+                    row, parts = self._law_row[ln.key], self._parts.get(ln.key)
+                    columns[row] = self.theta[v]
+                    columns[balance[v]] = self.flow[ln.key]
+                    if parts is not None:
+                        columns[row + _LINK_ROW] = parts.fplus
+        for ln in net.lines:
+            row = self._law_row.get(ln.key)
+            if row is None or ln.key in tree:
+                continue
+            parts = self._parts.get(ln.key)
+            if parts is None:
+                columns[row] = self.flow[ln.key]
+            else:
+                columns[row] = parts.dplus
+                columns[row + _LINK_ROW] = self.flow[ln.key]
+        return rest_basis(lp, columns)
 
     def pin(self, bits: Mapping[LineId, int]) -> dict[int, tuple[float, float]]:
         """Bound overrides that hold each line to the direction of its bit:
@@ -291,10 +385,11 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
     default to ``s_min``.  Never infeasible (the zero point always works).
     ``basis``, the :attr:`SolvedPoint.basis` of an MPF of the same network at
     other susceptances, is where the simplex starts (see
-    :func:`linprog.solve_lp`).
+    :func:`linprog.solve_lp`); without it, the program's spanning tree
+    (:meth:`NetworkLp.start_basis`) is.
     """
     builder = build_mpf_program(net, s)
-    res = solve_lp(builder.lp, basis=basis)
+    res = solve_lp(builder.lp, basis=basis or builder.start_basis())
     if res.status != "optimal":
         raise LpError(f"fixed-susceptance solve returned {res.status}")
     point = builder.solution(res.x)
@@ -313,9 +408,10 @@ def build_mff_relaxation(net: Network) -> NetworkLp:
 
 
 def relaxation_basis(net: Network) -> LpBasis | None:
-    """The optimal basis of the MFF relaxation, solved cold; ``None`` when
-    the relaxation is unbounded."""
-    return solve_lp(build_mff_relaxation(net).lp).basis
+    """The optimal basis of the MFF relaxation, solved from its spanning-tree
+    start; ``None`` when the relaxation is unbounded."""
+    builder = build_mff_relaxation(net)
+    return solve_lp(builder.lp, basis=builder.start_basis()).basis
 
 
 def solve_mvf(net: Network, bits: Mapping[LineId, int],
@@ -333,6 +429,8 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
     back to no susceptance and raises :class:`LpError`.  ``basis``, typically
     the relaxation's own (:func:`relaxation_basis`), is where the simplex
     starts; pinning only tightens bounds, so it stays dual feasible.
+    Without it, the program's spanning tree (:meth:`NetworkLp.start_basis`)
+    is.
     """
     for ln in net.facts_lines():
         bit = bits.get(ln.key)
@@ -340,7 +438,7 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
             raise InputError(f"controllable line {ln.a}-{ln.b} needs direction bit 0 or 1, "
                              f"not {bit!r}")
     builder = build_mff_relaxation(net)
-    res = solve_lp(builder.lp, builder.pin(bits), basis)
+    res = solve_lp(builder.lp, builder.pin(bits), basis or builder.start_basis())
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
     sol = builder.solution(res.x, bits)

@@ -10,8 +10,9 @@ the direction phase fails to improve on the susceptance phase.  The result
 is a feasible operating point and therefore a lower bound for the exact
 solver, which it can warm start.
 
-Each family of programs is solved from scratch once per network, at a
-fixed anchor, and every other solve of the family starts from the anchor's
+Each family of programs is solved from the tree basis
+(:meth:`formulations.NetworkLp.start_basis`) once per network, at a fixed
+anchor, and every other solve of the family starts from the anchor's
 optimal basis (see :func:`linprog.solve_lp`):
 
 * the MPF anchor is the MPF with every line at ``s_min``, the lower start's
@@ -142,7 +143,7 @@ class _SolvedPrograms:
     def _mpf_anchor(self) -> LpBasis | None:
         try:
             point = solve_mpf(self.net)
-        except LpError:  # unbounded at s_min: every MPF starts cold
+        except LpError:  # unbounded at s_min: every MPF starts from its own tree
             return None
         self._mpf[self._lower] = point
         return point.basis

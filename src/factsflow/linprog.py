@@ -6,18 +6,21 @@ for a fast and stable implementation", PhD thesis, Paderborn 2005) reaches a
 feasible basis, and a primal simplex with a Bland anti-cycling fallback
 then reaches an optimal one.
 
-A cold solve starts at zero: each variable rests at 0 projected onto its
-bounds and every row's slack is basic, so the start basis is the identity.
-Every basis is dual feasible for zero costs, so the dual simplex run with
-zero costs is a primal phase 1 (Maros, "Computational techniques of the
-simplex method", 2003): it pivots only while some slack lies outside its
-bounds.  When no row breaks at zero, as for MPF, MVF and the MFF relaxation
-(whose all-zero operating point is feasible), it stops at once.
+A cold solve, one given no start basis, starts at zero: each variable
+rests at 0 projected onto its bounds and every row's slack is basic, so the
+start basis is the identity.  Every basis is dual feasible for zero costs,
+so the dual simplex run with zero costs is a primal phase 1 (Maros,
+"Computational techniques of the simplex method", 2003): it pivots only
+while some slack lies outside its bounds.  When no row breaks at zero, as
+for MPF, MVF and the MFF relaxation (whose all-zero operating point is
+feasible), it stops at once.
 
 A warm solve starts instead from a given basis: any basis of a program of
 the same shape, typically the optimal :attr:`LpResult.basis` of the same
-program under other bounds or other coefficients.  The tableau is
-refactorised on it, and the start is priced:
+program under other bounds or other coefficients, or a structural start
+such as a network program's spanning tree (:func:`rest_basis` writes one
+down from its basic columns).  The tableau is refactorised on it, and the
+start is priced:
 
 * dual feasible, as a basis stays when bounds only tighten (an MFF branch
   and bound child pins two columns of its parent at zero; an MVF pins
@@ -32,6 +35,9 @@ refactorised on it, and the start is priced:
 
 Either way, primal phase 2 follows; from a dual feasible basis it finds
 nothing eligible.
+
+Each solve counts its work in :attr:`LpResult.stats`: the pivots of each
+loop and the refactorisations of the tableau.
 
 Both loops change the basis through one method, ``_Tableau.exchange``: it
 moves the entering column, rests the leaving one on its bound, pivots,
@@ -75,7 +81,9 @@ __all__ = [
     "LpResult",
     "LpBasis",
     "LpError",
+    "LpStats",
     "solve_lp",
+    "rest_basis",
     "lp_format",
 ]
 
@@ -185,6 +193,18 @@ class LpBasis:
 
 
 @dataclass
+class LpStats:
+    """The work of one solve, counted by the tableau that reached the
+    result: the basis exchanges of the dual and of the primal simplex loop,
+    and the factorisations of the tableau (a warm start's first one
+    included)."""
+
+    dual_pivots: int = 0
+    primal_pivots: int = 0
+    refactorisations: int = 0
+
+
+@dataclass
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float | None
@@ -192,6 +212,7 @@ class LpResult:
     #: The final basis when optimal, for a warm solve of the same program;
     #: ``None`` otherwise.
     basis: LpBasis | None = None
+    stats: LpStats = field(default_factory=LpStats)
 
     def value(self, idx: int) -> float:
         assert self.x is not None
@@ -224,6 +245,26 @@ def _rest_at_zero(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return np.where(lb >= 0.0, _AT_LB, np.where(ub <= 0.0, _AT_UB, _AT_ZERO)).astype(np.int8)
 
 
+def _slack_bounds(senses: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of each row's slack in ``A x + s = b``: ``[0, inf)`` for
+    ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]`` for ``=``."""
+    lo = np.array([-INF if sense == ">=" else 0.0 for sense in senses], dtype=float)
+    hi = np.array([INF if sense == "<=" else 0.0 for sense in senses], dtype=float)
+    return lo, hi
+
+
+def rest_basis(lp: LinearProgram, columns) -> LpBasis:
+    """The basis of ``lp`` with ``columns[i]`` basic in row ``i`` (a
+    variable's index, or ``lp.num_vars + i`` for row ``i``'s slack) and every
+    other column at rest, at 0 projected onto its bounds as in a cold
+    solve."""
+    s_lb, s_ub = _slack_bounds(lp.senses)
+    status = _rest_at_zero(np.concatenate([lp.lb, s_lb]), np.concatenate([lp.ub, s_ub]))
+    columns = np.asarray(columns, dtype=np.intp)
+    status[columns] = _BASIC
+    return LpBasis(columns, status)
+
+
 class _Tableau:
     """Simplex working state over the equality standard form.
 
@@ -233,6 +274,9 @@ class _Tableau:
     pivot row is nonzero, with the same arithmetic the dense rank-one update
     applies there; ``T`` is refactorised from ``A`` every 300 exchanges of a
     loop, each loop counting from its own start.
+
+    ``stats`` counts the work: :meth:`exchange` the pivots of the loop that
+    calls it (``dual`` says which), :meth:`refresh` the factorisations.
 
     ``d`` holds the reduced costs ``c - c_B T`` of the costs ``c`` last
     given to :meth:`price`.  :meth:`exchange` keeps them up to date along
@@ -261,6 +305,8 @@ class _Tableau:
         self.movable = np.where((ub - lb) > 0.0, 4, 0).astype(np.int8)
         self.max_iter = 200 * (self.m + self.N) + 2000
         self.c = np.zeros(self.N)
+        self.stats = LpStats()
+        self.dual = True
         if start is None:
             self.basis = np.arange(self.N - self.m, self.N)
             self.stat = _rest_at_zero(lb, ub)
@@ -304,6 +350,7 @@ class _Tableau:
             self.beta = np.linalg.solve(B, self.b - self.A @ self._nonbasic_values())
         except np.linalg.LinAlgError as exc:
             raise LpError("singular basis") from exc
+        self.stats.refactorisations += 1
         self.exchanges = 0
         self.price(self.c)
 
@@ -360,6 +407,10 @@ class _Tableau:
         self.basis[r] = j
         self.stat[j] = _BASIC
         beta[r] = entering_value
+        if self.dual:
+            self.stats.dual_pivots += 1
+        else:
+            self.stats.primal_pivots += 1
         self.exchanges += 1
         if self.exchanges >= 300:
             self.refresh()
@@ -380,6 +431,7 @@ class _Tableau:
         pivot_tol = 1e-8
         # |lb| where finite, the floor of a basic column's feasibility window.
         lb_scale = np.where(np.isfinite(lb), np.abs(lb), 0.0)
+        self.dual = False
         self.exchanges = 0
         if self.stale or c is not self.c:
             self.price(c)
@@ -492,6 +544,7 @@ class _Tableau:
         ``|alpha_rj|`` enters.
         """
         lb, ub, basis = self.lb, self.ub, self.basis
+        self.dual = True
         self.exchanges = 0
         if self.stale or c is not self.c:
             self.price(c)
@@ -545,18 +598,11 @@ def _standard_form(lp: LinearProgram,
     N = n + m
     A = np.zeros((m, N))
     b = np.array(lp.rhs, dtype=float)
-    s_lb = np.empty(m)
-    s_ub = np.empty(m)
-    for i, (row, sense) in enumerate(zip(lp.rows, lp.senses)):
+    for i, row in enumerate(lp.rows):
         for j, coef in row.items():
             A[i, j] = coef
         A[i, n + i] = 1.0
-        if sense == "<=":
-            s_lb[i], s_ub[i] = 0.0, INF
-        elif sense == ">=":
-            s_lb[i], s_ub[i] = -INF, 0.0
-        else:
-            s_lb[i], s_ub[i] = 0.0, 0.0
+    s_lb, s_ub = _slack_bounds(lp.senses)
     full_lb = np.concatenate([lb, s_lb])
     full_ub = np.concatenate([ub, s_ub])
     c = np.zeros(N)
@@ -570,10 +616,11 @@ def solve_lp(lp: LinearProgram,
              basis: LpBasis | None = None) -> LpResult:
     """Solve ``lp`` to optimality.
 
-    Without ``basis``, the solve starts from every variable at 0 projected
-    onto its bounds, on the slack basis of the ``m x (n + m)`` tableau, and
-    the dual simplex with zero costs (a primal phase 1) brings every basic
-    column within its bounds.  When the start violates no row, it stops at once.
+    Without ``basis``, and only then, the solve starts from every variable
+    at 0 projected onto its bounds, on the slack basis of the ``m x (n + m)``
+    tableau, and the dual simplex with zero costs (a primal phase 1) brings
+    every basic column within its bounds.  When the start violates no row,
+    it stops at once.
 
     With ``basis``, any basis of a program with ``lp``'s rows and columns
     (typically an optimal :attr:`LpResult.basis` of ``lp`` under other
@@ -585,7 +632,8 @@ def solve_lp(lp: LinearProgram,
     Either way, primal phase 2 follows from the feasible basis.
 
     Returns an :class:`LpResult` whose status is ``optimal`` (with a feasible
-    assignment, objective and final basis), ``infeasible`` or ``unbounded``.
+    assignment, objective and final basis), ``infeasible`` or ``unbounded``,
+    with the solve's :class:`LpStats`.
     Numerical breakdown raises :class:`LpError` instead of being misreported
     as one of the three statuses.
 
@@ -611,9 +659,9 @@ def solve_lp(lp: LinearProgram,
         tab = tab or _Tableau(A, b, lb, ub)
         dual_costs = np.zeros(N)
     if tab.dual_simplex(dual_costs) == "infeasible":
-        return LpResult("infeasible", None, None)
+        return LpResult("infeasible", None, None, stats=tab.stats)
     if tab.simplex(c) == "unbounded":
-        return LpResult("unbounded", None, None)
+        return LpResult("unbounded", None, None, stats=tab.stats)
 
     # Verification against the rows; if the tableau drifted beyond tolerance,
     # refactorise, re-run phase 2 and check once more.  x includes the slack
@@ -641,4 +689,4 @@ def solve_lp(lp: LinearProgram,
 
     obj = float(c @ x)
     return LpResult("optimal", obj, x[:lp.num_vars].copy(),
-                    LpBasis(tab.basis.copy(), tab.stat.copy()))
+                    LpBasis(tab.basis.copy(), tab.stat.copy()), tab.stats)

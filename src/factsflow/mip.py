@@ -57,6 +57,10 @@ simplex of :func:`linprog.solve_lp` repairs the few rows the pinning breaks.
 The root starts from the relaxation's optimal basis when the caller has
 one: :func:`iterative.multi_start_im` solves the same relaxation as its MVF
 anchor and hands the basis on, so the root needs next to no pivot.
+Otherwise the root, and the children of an unbounded node, which has no
+basis to hand on, start from the relaxation's spanning tree
+(:meth:`formulations.NetworkLp.start_basis`), or from the slack basis on a
+program too large for it.
 
 This module holds only the search.  The builder from
 :func:`formulations.build_mff_relaxation` gives the bounds that pin a bit,
@@ -127,8 +131,9 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     alternating heuristic) installs an initial incumbent, so the search can
     only improve on it.  ``root_basis`` (the relaxation's optimal basis, as
     :attr:`iterative.MultiStartResult.relaxation_basis` gives it) is where
-    the root node's solve starts.  Termination honours ``gap_tol`` (relative),
-    ``time_limit`` (seconds) and ``node_limit``; the result always carries a
+    the root node's solve starts; without it, the relaxation's spanning tree
+    is.  Termination honours ``gap_tol`` (relative), ``time_limit``
+    (seconds) and ``node_limit``; the result always carries a
     feasible solution and a valid upper bound.  A node relaxation that is
     infeasible, or unbounded with no controllable line left to branch on,
     raises :class:`LpError`.  Each node is traced at ``DEBUG`` level.
@@ -169,6 +174,8 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             break
 
         key, _, branched, basis = heapq.heappop(heap)
+        if basis is None:  # the root without ``root_basis``, or a child of an unbounded node
+            basis = builder.start_basis()
         res = solve_lp(builder.lp, bound_overrides=builder.pin(branched), basis=basis)
         nodes += 1
         if res.status not in ("optimal", "unbounded"):

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
+from factsflow import caseio, formulations, linprog
 from factsflow.model import (
     Bus,
     BusKind,
@@ -17,12 +19,14 @@ from factsflow.formulations import (
     UNBOUNDED_S_CAP,
     NetworkLp,
     build_mff_relaxation,
+    build_mpf_program,
     directed_susceptance,
     extract_signs,
     midpoint_susceptances,
     solve_mpf,
     solve_mvf,
 )
+from factsflow.iterative import start_susceptances
 from factsflow.linprog import solve_lp
 from factsflow.maxflow import max_flow
 from factsflow.mip import MffConfig, solve_mff
@@ -246,23 +250,24 @@ class TestMvfMatchesHighs:
             assert validate_solution(net, ours).ok
 
 
+FAMILIES = {
+    "small": random_small_net,
+    "tree": random_tree,
+    "zero_lower": random_meshed_zero_lower,
+    "unbounded_upper": random_unbounded_upper,
+    "partly_unbounded": random_partly_unbounded,
+}
+
+
 class TestMffRelaxationIsTheHull:
     """The root of ``build_mff_relaxation`` is the hull of each controllable
     line's two capacity-bounded cones, not the plain arc ``|f| <= cap``."""
-
-    FAMILIES = {
-        "small": random_small_net,
-        "tree": random_tree,
-        "zero_lower": random_meshed_zero_lower,
-        "unbounded_upper": random_unbounded_upper,
-        "partly_unbounded": random_partly_unbounded,
-    }
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", range(8))
     def test_root_matches_highs_extended_form(self, family, seed):
         pytest.importorskip("scipy.optimize")
-        net = self.FAMILIES[family](seed)
+        net = FAMILIES[family](seed)
         root = solve_lp(build_mff_relaxation(net).lp)
         assert root.status == "optimal"
         assert root.objective == pytest.approx(_highs_hull(net), rel=1e-7, abs=1e-7)
@@ -285,6 +290,57 @@ class TestMffRelaxationIsTheHull:
         assert solve_lp(arcs.lp).objective == pytest.approx(11.0, abs=1e-9)
         assert solve_lp(build_mff_relaxation(net).lp).objective == pytest.approx(7.0, abs=1e-9)
         assert solve_mff(net, MffConfig(gap_tol=1e-9)).objective == pytest.approx(5.0, abs=1e-9)
+
+
+class TestTreeStart:
+    """Solves from ``NetworkLp.start_basis`` against the slack start: MPF at
+    the three IM starts (at ``s_min`` a ``[0, t]`` line is fixed at ``s =
+    0`` and ties no angles) and the relaxation unpinned and under random
+    pins, on each family as built and split by removed lines."""
+
+    @staticmethod
+    def _programs(net, rng):
+        programs = [(build_mpf_program(net, start_susceptances(net, which)), None)
+                    for which in ("lower", "mid", "upper")]
+        relaxation = build_mff_relaxation(net)
+        programs.append((relaxation, None))
+        facts = net.facts_lines()
+        for _ in range(3):
+            pinned = rng.sample(facts, rng.randint(0, len(facts)))
+            programs.append((relaxation, relaxation.pin({ln.key: rng.randint(0, 1)
+                                                         for ln in pinned})))
+        return programs
+
+    @pytest.mark.parametrize("removed", [0, 2])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", range(25))
+    def test_tree_start_matches_the_slack_start(self, family, seed, removed):
+        net = FAMILIES[family](seed)
+        if removed:
+            net = caseio.remove_random_lines(net, min(removed, len(net.lines) - 1), seed)
+        for builder, overrides in self._programs(net, random.Random(seed)):
+            start = builder.start_basis()
+            if start is None:
+                assert builder.lp.num_rows > formulations._TREE_START_MAX_ROWS
+                continue
+            # The check a start must pass not to be dropped for the slack one.
+            A, b, lb, ub, _ = linprog._standard_form(builder.lp, overrides)
+            linprog._Tableau(A, b, lb, ub, start)
+            tree = solve_lp(builder.lp, overrides, start)
+            cold = solve_lp(builder.lp, overrides)
+            assert tree.status == cold.status
+            if cold.status == "optimal":
+                assert tree.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            # The start is the all-zero point, which every network program admits.
+            assert tree.stats.dual_pivots == 0
+
+    def test_a_program_above_the_cutoff_gets_none(self, monkeypatch):
+        builder = build_mff_relaxation(random_small_net(0))
+        rows = builder.lp.num_rows
+        monkeypatch.setattr(formulations, "_TREE_START_MAX_ROWS", rows)
+        assert builder.start_basis() is not None
+        monkeypatch.setattr(formulations, "_TREE_START_MAX_ROWS", rows - 1)
+        assert builder.start_basis() is None
 
 
 class TestExtractSigns:

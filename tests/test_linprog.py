@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from factsflow import linprog
+from factsflow import formulations, linprog
 from factsflow.formulations import (
     build_mff_relaxation,
     build_mpf_program,
@@ -15,7 +15,7 @@ from factsflow.formulations import (
     midpoint_susceptances,
     solve_mpf,
 )
-from factsflow.linprog import LinearProgram, LpError, lp_format, solve_lp
+from factsflow.linprog import LinearProgram, LpError, LpStats, lp_format, solve_lp
 
 from conftest import random_meshed_zero_lower, random_small_net, random_tree, random_unbounded_upper
 from gadget_checks import pinned_overrides
@@ -674,17 +674,21 @@ def test_unchanged_program_resolves_from_its_basis_without_a_pivot(monkeypatch):
 # Network programs are hypersparse: a pivot touches a few rows and columns of
 # the tableau, so these exercise the skipped entries that the small random
 # programs above never leave.  Seed 0 runs past the periodic refactorisation.
+# Each program is also solved from its spanning-tree start, with the row
+# cutoff raised so that the programs above it take the tree too.
 @pytest.mark.parametrize("seed", range(5))
-def test_network_programs_match_highs(seed):
+def test_network_programs_match_highs(monkeypatch, seed):
     pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(formulations, "_TREE_START_MAX_ROWS", math.inf)
     net = random_meshed_zero_lower(seed, max_buses=120)
     mpf = build_mpf_program(net, midpoint_susceptances(net))
     relaxation = build_mff_relaxation(net)
-    for lp in (mpf.lp, relaxation.lp):
-        ours = solve_lp(lp)
-        status, value = _highs(lp)
-        assert (ours.status, status) == ("optimal", "optimal")
-        assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+    for builder in (mpf, relaxation):
+        status, value = _highs(builder.lp)
+        for start in (None, builder.start_basis()):
+            ours = solve_lp(builder.lp, basis=start)
+            assert (ours.status, status) == ("optimal", "optimal")
+            assert ours.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
 
 
 class _DenseTableau(linprog._Tableau):
@@ -837,6 +841,57 @@ def test_refactorisation_falls_on_every_300th_exchange_of_its_loop(monkeypatch):
     assert any(first[0] == "dual_simplex" and second[0] == "simplex"
                and first[1] % 300 != 0 and first[1] % 300 + second[1] >= 300
                for first, second in zip(runs, runs[1:])), runs
+
+
+def test_stats_count_the_pivots_of_each_loop_and_the_factorisations(monkeypatch):
+    """``LpResult.stats`` agrees with the pivots of each loop and the
+    factorisations counted from outside: on the seed-0 MVF with six pinned
+    flows, which pivots in both loops and refactorises, on a warm re-solve
+    of it, whose start is factorised, and on an infeasible program."""
+    counts = dict(dual_pivots=0, primal_pivots=0, refactorisations=0)
+    pivot, refresh = linprog._Tableau.pivot, linprog._Tableau.refresh
+
+    def loop(run, key):
+        def running(self, c):
+            self.counted = key
+            return run(self, c)
+        return running
+
+    def counting(self, r, j, rows, cols):
+        counts[self.counted] += 1
+        pivot(self, r, j, rows, cols)
+
+    def recording(self):
+        counts["refactorisations"] += 1
+        refresh(self)
+
+    monkeypatch.setattr(linprog._Tableau, "simplex",
+                        loop(linprog._Tableau.simplex, "primal_pivots"))
+    monkeypatch.setattr(linprog._Tableau, "dual_simplex",
+                        loop(linprog._Tableau.dual_simplex, "dual_pivots"))
+    monkeypatch.setattr(linprog._Tableau, "pivot", counting)
+    monkeypatch.setattr(linprog._Tableau, "refresh", recording)
+    net = random_meshed_zero_lower(0, max_buses=120)
+    point = solve_mpf(net, midpoint_susceptances(net))
+    relaxation = build_mff_relaxation(net)
+    flows = {key: 0.5 * f for key, f in point.injections.flow.items() if abs(f) > 1e-6}
+    overrides = pinned_overrides(relaxation, extract_signs(net, point.theta),
+                                 dict(list(flows.items())[:6]))
+    infeasible = LinearProgram()  # y >= 1 + x holds only after a pivot, then y <= 0.5 breaks
+    x, y = infeasible.add_var("x", 0.0), infeasible.add_var("y", 0.0)
+    infeasible.add_constraint({x: 1.0, y: -1.0}, "<=", -1.0)
+    infeasible.add_constraint({y: 1.0}, "<=", 0.5)
+    seen = []
+    basis = None
+    for lp, bounds in ((relaxation.lp, overrides), (relaxation.lp, {}), (infeasible, None)):
+        counts.update(dual_pivots=0, primal_pivots=0, refactorisations=0)
+        res = solve_lp(lp, bounds, basis if lp is relaxation.lp else None)
+        basis = res.basis
+        assert res.stats == LpStats(**counts)
+        seen.append(res.stats)
+    assert seen[0].dual_pivots > 0 and seen[0].primal_pivots > 0 and seen[0].refactorisations > 0
+    assert seen[1].refactorisations > 0
+    assert seen[2].dual_pivots > 0
 
 
 def _counting_pricings(monkeypatch) -> list[int]:
