@@ -49,6 +49,7 @@ __all__ = [
     "to_network",
     "apply_congestion_factors",
     "check_removable",
+    "check_scalable",
     "remove_random_lines",
     "assign_facts",
     "serialize_network",
@@ -121,9 +122,10 @@ class ScenarioSpec:
             raise InputError("lines_removed must be nonnegative")
         if not (0.0 <= self.facts_fraction <= 1.0):
             raise InputError("facts_fraction must lie in [0, 1]")
-        if self.interval_pct < 0:
+        # Written so that NaN fails them; ``inf`` passes.
+        if not self.interval_pct >= 0:
             raise InputError("interval_pct must be nonnegative")
-        if self.gen_factor <= 0 or self.load_factor <= 0:
+        if not (self.gen_factor > 0 and self.load_factor > 0):
             raise InputError("congestion factors must be positive")
 
 
@@ -298,10 +300,7 @@ def to_network(raw: RawCase) -> Network:
 def apply_congestion_factors(net: Network, gen_factor: float,
                              load_factor: float) -> Network:
     """Scale generation and demand limits through their boundary lines."""
-    if gen_factor <= 0 or load_factor <= 0:
-        raise InputError("congestion factors must be positive")
-    if not any(ln.kind is not LineKind.REGULAR for ln in net.lines):
-        raise InputError("network has no boundary lines to scale")
+    check_scalable(net, gen_factor, load_factor)
     lines = []
     for ln in net.lines:
         if ln.kind is LineKind.GEN_BOUNDARY:
@@ -313,6 +312,16 @@ def apply_congestion_factors(net: Network, gen_factor: float,
         else:
             lines.append(ln)
     return Network(buses=net.buses, lines=tuple(lines))
+
+
+def check_scalable(net: Network, gen_factor: float, load_factor: float) -> None:
+    """Raise :class:`InputError` unless both factors are positive (NaN is
+    not) and ``net`` has boundary lines for :func:`apply_congestion_factors`
+    to scale."""
+    if not (gen_factor > 0 and load_factor > 0):
+        raise InputError("congestion factors must be positive")
+    if not any(ln.kind is not LineKind.REGULAR for ln in net.lines):
+        raise InputError("network has no boundary lines to scale")
 
 
 def _shuffled_regular_keys(net: Network, seed: int) -> list[LineId]:
@@ -354,7 +363,7 @@ def assign_facts(net: Network, fraction: float, interval_pct: float,
     """
     if not (0.0 <= fraction <= 1.0):
         raise InputError("fraction must lie in [0, 1]")
-    if interval_pct < 0:
+    if not interval_pct >= 0:  # NaN fails too
         raise InputError("interval_pct must be nonnegative")
     keys = _shuffled_regular_keys(net, seed)
     count = int(fraction * len(keys))

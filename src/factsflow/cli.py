@@ -159,8 +159,7 @@ def _run_trial(net: Network, spec: caseio.ScenarioSpec, config: MffConfig,
         # The midpoint start's first step is the MPF at the interval midpoints.
         cells.update(mpf=im.runs["mid"].trace.steps[0][1], im=im.value)
         stage = "mff"
-        mff = solve_mff(variant, config, warm_start=im.best.solution,
-                        root_basis=im.relaxation_basis)
+        mff = solve_mff(variant, config, warm_start=im.best.solution)
         cells.update(mff=mff.objective, gap=mff.gap)
         stage = "mf"
         cells.update(mf=max_flow(variant).value, runtime_s=time.monotonic() - t0)
@@ -184,6 +183,8 @@ def _cmd_scenario(args) -> int:
     if args.trials <= 0:
         raise InputError("trials must be positive")
     caseio.check_removable(net, spec.lines_removed)
+    if spec.gen_factor != 1.0 or spec.load_factor != 1.0:
+        caseio.check_scalable(net, spec.gen_factor, spec.load_factor)
     trial = functools.partial(_run_trial, net, spec, config)
 
     failed = 0

@@ -16,10 +16,9 @@ Two linear programs are the workhorses of the whole package:
   each line's opposite cone parts pinned at zero.  Fixed lines take no bit.
 
 Both never come back infeasible: the all-zero operating point satisfies any
-choice of directions.  Both take an optional start basis: an MPF starts
-from the basis of the MPF at other susceptances (:attr:`SolvedPoint.basis`),
-an MVF from that of the unpinned relaxation (:func:`relaxation_basis`).  A
-solve given no basis starts from its program's spanning tree
+choice of directions.  An MPF takes an optional start basis, that of the
+MPF at other susceptances (:attr:`SolvedPoint.basis`).  An MPF given no
+basis, and every MVF, starts from its program's spanning tree
 (:meth:`NetworkLp.start_basis`), the textbook network-simplex basis (Ahuja,
 Magnanti and Orlin, "Network Flows", 1993), at the all-zero point; a
 program of more than :data:`_TREE_START_MAX_ROWS` rows starts from the
@@ -51,7 +50,6 @@ __all__ = [
     "SolvedPoint",
     "UNBOUNDED_S_CAP",
     "build_mff_relaxation",
-    "relaxation_basis",
     "solve_mpf",
     "solve_mvf",
     "extract_signs",
@@ -407,15 +405,7 @@ def build_mff_relaxation(net: Network) -> NetworkLp:
     return builder
 
 
-def relaxation_basis(net: Network) -> LpBasis | None:
-    """The optimal basis of the MFF relaxation, solved from its spanning-tree
-    start; ``None`` when the relaxation is unbounded."""
-    builder = build_mff_relaxation(net)
-    return solve_lp(builder.lp, basis=builder.start_basis()).basis
-
-
-def solve_mvf(net: Network, bits: Mapping[LineId, int],
-              basis: LpBasis | None = None) -> LdcSolution:
+def solve_mvf(net: Network, bits: Mapping[LineId, int]) -> LdcSolution:
     """Maximum throughput with angle-difference directions pinned by ``bits``.
 
     Bit 1 on controllable line ``(a, b)`` means ``theta[b] - theta[a] >=
@@ -426,11 +416,8 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
     pinned at zero, so susceptances float inside their intervals, with
     ``UNBOUNDED_S_CAP`` standing in for an infinite ``s_max`` (see the
     constant's note).  A vertex with flow across a vanishing angle part maps
-    back to no susceptance and raises :class:`LpError`.  ``basis``, typically
-    the relaxation's own (:func:`relaxation_basis`), is where the simplex
-    starts; pinning only tightens bounds, so it stays dual feasible.
-    Without it, the program's spanning tree (:meth:`NetworkLp.start_basis`)
-    is.
+    back to no susceptance and raises :class:`LpError`.  The simplex starts
+    from the program's spanning tree (:meth:`NetworkLp.start_basis`).
     """
     for ln in net.facts_lines():
         bit = bits.get(ln.key)
@@ -438,7 +425,7 @@ def solve_mvf(net: Network, bits: Mapping[LineId, int],
             raise InputError(f"controllable line {ln.a}-{ln.b} needs direction bit 0 or 1, "
                              f"not {bit!r}")
     builder = build_mff_relaxation(net)
-    res = solve_lp(builder.lp, builder.pin(bits), basis or builder.start_basis())
+    res = solve_lp(builder.lp, builder.pin(bits), builder.start_basis())
     if res.status != "optimal":
         raise LpError(f"fixed-direction solve returned {res.status}")
     sol = builder.solution(res.x, bits)

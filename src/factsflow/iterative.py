@@ -10,24 +10,16 @@ the direction phase fails to improve on the susceptance phase.  The result
 is a feasible operating point and therefore a lower bound for the exact
 solver, which it can warm start.
 
-Each family of programs is solved from the tree basis
-(:meth:`formulations.NetworkLp.start_basis`) once per network, at a fixed
-anchor, and every other solve of the family starts from the anchor's
-optimal basis (see :func:`linprog.solve_lp`):
+Every MVF starts from its program's spanning tree
+(:meth:`formulations.NetworkLp.start_basis`).  The MPFs of a network start
+from the tree once, at a fixed anchor, the MPF with every line at
+``s_min`` (the lower start's first step), and every other MPF starts from
+the anchor's optimal basis (see :func:`linprog.solve_lp`), since it differs
+from the anchor only in the coefficients of the power-law rows.
 
-* the MPF anchor is the MPF with every line at ``s_min``, the lower start's
-  first step; every other MPF differs from it only in the coefficients of
-  the power-law rows;
-* the MVF anchor is the unpinned MFF relaxation, solved the first time an
-  MVF is needed; an MVF only pins parts at zero, so the anchor's basis
-  stays dual feasible and the MVF gets the short repair a branch-and-bound
-  child gets.  Its basis is also where the exact search's root can start
-  (:attr:`MultiStartResult.relaxation_basis`).
-
-Because the anchors are fixed, every MPF and MVF optimum depends only on
-its network and susceptances or bits, not on which solves came before; a
-run from a single start other than ``lower`` pays one extra MPF, its
-anchor.
+Because the anchor is fixed, every MPF and MVF optimum depends only on its
+network and susceptances or bits, not on which solves came before; a run
+from a single start other than ``lower`` pays one extra MPF, its anchor.
 
 The three-start variant runs the loop from the interval lower bounds, upper
 bounds and midpoints, returning the best of the three.  The starts share the
@@ -50,8 +42,7 @@ from typing import Mapping
 
 from .linprog import LpBasis, LpError
 from .model import InputError, LdcSolution, Network
-from .formulations import (extract_signs, midpoint_susceptances, relaxation_basis, solve_mpf,
-                           solve_mvf)
+from .formulations import extract_signs, midpoint_susceptances, solve_mpf, solve_mvf
 
 __all__ = ["ImTrace", "ImResult", "MultiStartResult", "solve_im", "multi_start_im",
            "start_susceptances"]
@@ -89,9 +80,6 @@ class ImResult:
 class MultiStartResult:
     best: ImResult
     runs: dict[str, ImResult]
-    #: The optimal basis of the MFF relaxation, ``None`` when it is
-    #: unbounded: the root start of :func:`mip.solve_mff`.
-    relaxation_basis: LpBasis | None = None
 
     @property
     def value(self) -> float:
@@ -122,14 +110,13 @@ def start_susceptances(net: Network, which: str) -> dict[LineId, float]:
 
 
 class _SolvedPrograms:
-    """The MPF and MVF optima solved so far on one network, and the bases
-    of the two anchors, each solved before any other program of its family.
+    """The MPF and MVF optima solved so far on one network, and the basis
+    of the MPF anchor, solved before any other MPF.
 
     Each optimum is keyed by all that its solve reads: MPF by the
     susceptance of every line, MVF by the bit of every controllable line
-    (fixed lines take none).  Solves call this module's ``solve_mpf``,
-    ``solve_mvf`` and ``relaxation_basis`` names, so a patched name sees
-    every real solve.
+    (fixed lines take none).  Solves call this module's ``solve_mpf`` and
+    ``solve_mvf`` names, so a patched name sees every real solve.
     """
 
     def __init__(self, net: Network):
@@ -148,11 +135,6 @@ class _SolvedPrograms:
         self._mpf[self._lower] = point
         return point.basis
 
-    @functools.cached_property
-    def relaxation(self) -> LpBasis | None:
-        """The MVF anchor: the optimal basis of the MFF relaxation."""
-        return relaxation_basis(self.net)
-
     def mpf(self, s: Mapping[LineId, float]) -> LdcSolution:
         key = tuple(s.get(ln.key, ln.s_min) for ln in self.net.lines)
         anchor = self._mpf_anchor  # solved, and stored, before any other MPF
@@ -163,7 +145,7 @@ class _SolvedPrograms:
     def mvf(self, bits: Mapping[LineId, int]) -> LdcSolution:
         key = tuple(bits.get(ln.key) for ln in self._facts)
         if key not in self._mvf:
-            self._mvf[key] = solve_mvf(self.net, bits, basis=self.relaxation)
+            self._mvf[key] = solve_mvf(self.net, bits)
         return self._mvf[key]
 
 
@@ -216,11 +198,10 @@ def multi_start_im(net: Network) -> MultiStartResult:
     visited replays the rest of that trajectory from the store, so each run
     equals a separate :func:`solve_im` from its start, but the
     ``trace.wall_time`` of a later start leaves out the solves an earlier
-    start already paid for.  The result carries the relaxation's optimal
-    basis, the MVF anchor, for :func:`mip.solve_mff` to start its root from.
+    start already paid for.
     """
     solved = _SolvedPrograms(net)
     runs = {which: _solve_im(net, start_susceptances(net, which), solved)
             for which in ("lower", "upper", "mid")}
     best = max(runs.values(), key=lambda r: r.value)
-    return MultiStartResult(best=best, runs=runs, relaxation_basis=solved.relaxation)
+    return MultiStartResult(best=best, runs=runs)

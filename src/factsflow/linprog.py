@@ -23,10 +23,9 @@ down from its basic columns).  The tableau is refactorised on it, and the
 start is priced:
 
 * dual feasible, as a basis stays when bounds only tighten (an MFF branch
-  and bound child pins two columns of its parent at zero; an MVF pins
-  parts of the unpinned relaxation): the dual simplex runs with the
-  program's costs, repairing the basic columns that the new bounds put
-  outside their bounds;
+  and bound child pins two columns of its parent at zero): the dual
+  simplex runs with the program's costs, repairing the basic columns that
+  the new bounds put outside their bounds;
 * not dual feasible, as after loosened bounds or changed coefficients (an
   MPF started from the MPF at other susceptances): the dual simplex runs
   with zero costs, a primal phase 1 from that basis;

@@ -54,11 +54,8 @@ A child differs from its parent only in the two cone parts it pins at zero,
 so the parent's optimal basis, which each open node keeps (O(rows +
 columns) integers, not the tableau), stays dual feasible for it: the dual
 simplex of :func:`linprog.solve_lp` repairs the few rows the pinning breaks.
-The root starts from the relaxation's optimal basis when the caller has
-one: :func:`iterative.multi_start_im` solves the same relaxation as its MVF
-anchor and hands the basis on, so the root needs next to no pivot.
-Otherwise the root, and the children of an unbounded node, which has no
-basis to hand on, start from the relaxation's spanning tree
+The root, and the children of an unbounded node, which has no basis to
+hand on, start from the relaxation's spanning tree
 (:meth:`formulations.NetworkLp.start_basis`), or from the slack basis on a
 program too large for it.
 
@@ -123,17 +120,13 @@ class MffResult:
 
 
 def solve_mff(net: Network, config: MffConfig | None = None,
-              warm_start: LdcSolution | None = None,
-              root_basis: LpBasis | None = None) -> MffResult:
+              warm_start: LdcSolution | None = None) -> MffResult:
     """Exact maximum throughput by branch and bound over direction bits.
 
     ``warm_start`` (a feasible operating point, typically from the
     alternating heuristic) installs an initial incumbent, so the search can
-    only improve on it.  ``root_basis`` (the relaxation's optimal basis, as
-    :attr:`iterative.MultiStartResult.relaxation_basis` gives it) is where
-    the root node's solve starts; without it, the relaxation's spanning tree
-    is.  Termination honours ``gap_tol`` (relative), ``time_limit``
-    (seconds) and ``node_limit``; the result always carries a
+    only improve on it.  Termination honours ``gap_tol`` (relative),
+    ``time_limit`` (seconds) and ``node_limit``; the result always carries a
     feasible solution and a valid upper bound.  A node relaxation that is
     infeasible, or unbounded with no controllable line left to branch on,
     raises :class:`LpError`.  Each node is traced at ``DEBUG`` level.
@@ -157,7 +150,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
     # Open nodes: (-parent bound, -sequence number, direction bits branched
     # on so far, parent basis), so the top is also the search's upper bound.
     heap: list[tuple[float, int, dict[LineId, int], LpBasis | None]] = [
-        (-math.inf, 0, {}, root_basis)]
+        (-math.inf, 0, {}, None)]
     pushed = itertools.count(1)
     nodes = 0
     termination = "optimal"
@@ -174,7 +167,7 @@ def solve_mff(net: Network, config: MffConfig | None = None,
             break
 
         key, _, branched, basis = heapq.heappop(heap)
-        if basis is None:  # the root without ``root_basis``, or a child of an unbounded node
+        if basis is None:  # the root, or a child of an unbounded node
             basis = builder.start_basis()
         res = solve_lp(builder.lp, bound_overrides=builder.pin(branched), basis=basis)
         nodes += 1

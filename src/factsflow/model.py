@@ -282,12 +282,13 @@ def validate_network(net: Network) -> ValidationReport:
     return report
 
 
-def _check_coverage(net: Network, flow: Mapping[LineId, float],
+def _check_coverage(net: Network, per_line: Mapping[str, Mapping[LineId, float]],
                     per_bus: Iterable[Mapping[str, float]]) -> None:
     known = {ln.key for ln in net.lines}
-    for key in flow:
-        if key not in known:
-            raise InputError(f"flow references unknown line {key!r}")
+    for what, values in per_line.items():
+        for key in values:
+            if key not in known:
+                raise InputError(f"{what} references unknown line {key!r}")
     for mapping in per_bus:
         for bus_id in mapping:
             if not net.has_bus(bus_id):
@@ -300,7 +301,7 @@ def check_kirchhoff(net: Network, inj: InjectionSolution, tol: float = DEFAULT_T
     The balance at bus ``a`` is ``sum of flows leaving a`` minus
     ``sum of flows entering a`` equals ``gen(a) - load(a)``.
     """
-    _check_coverage(net, inj.flow, (inj.gen, inj.load))
+    _check_coverage(net, {"flow": inj.flow}, (inj.gen, inj.load))
     balance = {b.id: float(inj.gen.get(b.id, 0.0)) - float(inj.load.get(b.id, 0.0))
                for b in net.buses}
     for ln in net.lines:
@@ -315,7 +316,9 @@ def validate_solution(net: Network, sol: LdcSolution, tol: float = DEFAULT_TOL) 
 
     Verifies flow conservation, the power law, susceptances within their
     intervals, flows within capacity, and the typing rules (generation only
-    on generator buses, load only on load buses, both nonnegative).
+    on generator buses, load only on load buses, both nonnegative).  A
+    susceptance or flow of a line, or an angle or injection of a bus, that
+    ``net`` lacks is reported as ``solution.bad_reference`` alone.
     An empty report means the solution is feasible at tolerance ``tol``,
     which must be finite and nonnegative.
     """
@@ -325,6 +328,7 @@ def validate_solution(net: Network, sol: LdcSolution, tol: float = DEFAULT_TOL) 
     inj = sol.injections
 
     try:
+        _check_coverage(net, {"susceptance": sol.susceptance}, (sol.theta,))
         if not check_kirchhoff(net, inj, tol):
             report.add("solution.kirchhoff", "flow conservation violated at some bus")
     except InputError as exc:

@@ -318,7 +318,11 @@ _SCENARIO_REJECTIONS = {  # ScenarioSpec's five checks, two of MffConfig's, the 
     "seed": (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
     "remove-lines": (["--remove-lines", "-1"], "lines_removed must be nonnegative"),
     "gen-factor": (["--gen-factor", "0"], "congestion factors must be positive"),
+    "gen-factor-nan": (["--gen-factor", "nan"], "congestion factors must be positive"),
+    "load-factor-nan": (["--load-factor", "nan"], "congestion factors must be positive"),
     "interval-pct": (["--interval-pct", "-5"], "interval_pct must be nonnegative"),
+    "interval-pct-nan": (["--interval-pct", "nan", "--facts-frac", "0.3"],
+                         "interval_pct must be nonnegative"),
     "gap": (["--gap", "inf"], "gap_tol must be finite and nonnegative"),
     "mff-time-limit": (["--mff-time-limit", "0"], "time_limit must be positive"),
     "trials": (["--trials", "-2"], "trials must be positive"),
@@ -354,6 +358,15 @@ def test_rejected_input_is_one_error_line(workdir, capsys, rejection):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_congestion_without_boundary_lines_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    path.write_text(serialize_network(tri_network()))
+    assert run_command(["scenario", str(path), "--gen-factor", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: network has no boundary lines to scale\n"
 
 
 @pytest.mark.parametrize("x, message", [("nan", "gadget scale must be finite"),

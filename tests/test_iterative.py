@@ -1,8 +1,9 @@
 """The alternating heuristic and its three-start variant."""
 
+import numpy as np
 import pytest
 
-from factsflow import formulations, iterative
+from factsflow import formulations, iterative, linprog
 from factsflow.model import Bus, BusKind, Line, Network, validate_solution
 from factsflow.iterative import multi_start_im, solve_im, start_susceptances
 from factsflow.mip import MffConfig, solve_mff
@@ -102,10 +103,11 @@ class TestSharedSolves:
     @staticmethod
     def _count_solves(monkeypatch, net):
         """Run ``multi_start_im`` on ``net``; return it, the keys each solve
-        got and the solves (``mpf``, ``mvf`` or ``relaxation``) that started
-        without a basis."""
+        got, the MPFs that started without a basis and, per MVF, whether its
+        simplex started from its program's spanning tree (from the slack
+        basis when the program is too large for one)."""
         keys = {"mpf": [], "mvf": []}
-        cold = []
+        cold, from_tree, starts = [], [], []
 
         def mpf(net_, s=None, **kwargs):
             keys["mpf"].append(tuple((s or {}).get(ln.key, ln.s_min) for ln in net_.lines))
@@ -113,48 +115,55 @@ class TestSharedSolves:
                 cold.append("mpf")
             return formulations.solve_mpf(net_, s, **kwargs)
 
-        def mvf(net_, bits, **kwargs):
+        def mvf(net_, bits):
             keys["mvf"].append(tuple(bits[ln.key] for ln in net_.facts_lines()))
-            if kwargs.get("basis") is None:
-                cold.append("mvf")
-            return formulations.solve_mvf(net_, bits, **kwargs)
+            del starts[:]
+            sol = formulations.solve_mvf(net_, bits)
+            tree = formulations.build_mff_relaxation(net_).start_basis()
+            (start,) = starts
+            from_tree.append(start is None if tree is None else (
+                start is not None and np.array_equal(start.columns, tree.columns)
+                and np.array_equal(start.status, tree.status)))
+            return sol
 
-        def relaxation(net_):
-            cold.append("relaxation")
-            return formulations.relaxation_basis(net_)
+        def lp(lp_, bound_overrides=None, basis=None):
+            starts.append(basis)
+            return linprog.solve_lp(lp_, bound_overrides, basis)
 
         monkeypatch.setattr(iterative, "solve_mpf", mpf)
         monkeypatch.setattr(iterative, "solve_mvf", mvf)
-        monkeypatch.setattr(iterative, "relaxation_basis", relaxation)
-        return multi_start_im(net), keys, cold
+        monkeypatch.setattr(formulations, "solve_lp", lp)
+        return multi_start_im(net), keys, cold, from_tree
 
     def test_no_program_is_solved_twice(self, monkeypatch):
         for seed in range(20):
-            _, keys, _ = self._count_solves(monkeypatch, random_small_net(seed))
+            _, keys, _, _ = self._count_solves(monkeypatch, random_small_net(seed))
             for phase, seen in keys.items():
                 assert len(seen) == len(set(seen)), (seed, phase)
 
     def test_fixed_network_solves_each_program_once(self, monkeypatch, tri):
-        res, keys, _ = self._count_solves(monkeypatch, tri)
+        res, keys, _, _ = self._count_solves(monkeypatch, tri)
         assert len(res.runs) == 3
         assert (len(keys["mpf"]), len(keys["mvf"])) == (1, 1)
 
     def test_starts_that_meet_share_their_direction_solve(self, monkeypatch):
-        res, keys, _ = self._count_solves(monkeypatch, random_small_net(0))
+        res, keys, _, _ = self._count_solves(monkeypatch, random_small_net(0))
         rounds = sum(run.trace.iterations for run in res.runs.values())
         assert len(keys["mvf"]) < rounds
 
     @pytest.mark.parametrize("family", [random_small_net, random_tree, random_meshed_zero_lower,
                                         random_unbounded_upper, random_partly_unbounded])
     def test_one_cold_solve_per_anchor(self, monkeypatch, family):
-        """Only the two anchors start cold: the MPF at ``s_min`` and the MFF
-        relaxation, whose basis the result hands on to the exact search."""
+        """Only the MPF anchor, at ``s_min``, starts without a basis, and every
+        MVF starts from its program's spanning tree, as the exact search's
+        root does."""
         for seed in range(5):
             net = family(seed)
-            res, keys, cold = self._count_solves(monkeypatch, net)
-            assert sorted(cold) == ["mpf", "relaxation"], (family.__name__, seed)
+            _, keys, cold, from_tree = self._count_solves(monkeypatch, net)
+            assert cold == ["mpf"], (family.__name__, seed)
             assert keys["mpf"][0] == tuple(ln.s_min for ln in net.lines)
-            assert res.relaxation_basis is not None
+            assert len(from_tree) == len(keys["mvf"]) > 0, (family.__name__, seed)
+            assert all(from_tree), (family.__name__, seed)
 
 
 def test_heuristic_warm_starts_the_exact_solver(tri_f):

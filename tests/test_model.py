@@ -100,6 +100,23 @@ class TestCheckKirchhoff:
             check_kirchhoff(single_line, inj)
 
 
+@pytest.mark.parametrize("extra, name", [
+    ({"susceptance": {("x", "y"): 1.0}}, "('x', 'y')"),
+    ({"theta": {"zz": 0.0}}, "'zz'"),
+])
+def test_unknown_reference_is_rejected(single_line, extra, name):
+    """A susceptance of a line, or an angle of a bus, that the network lacks
+    is rejected, not skipped."""
+    sol = LdcSolution(
+        susceptance={("g", "l"): 1.0, **extra.get("susceptance", {})},
+        theta={"g": 0.0, "l": 5.0, **extra.get("theta", {})},
+        injections=InjectionSolution(flow={("g", "l"): 5.0}, gen={"g": 5.0}, load={"l": 5.0}),
+    )
+    report = validate_solution(single_line, sol)
+    assert report.codes() == ["solution.bad_reference"]
+    assert name in str(report)
+
+
 class TestCheckPowerLaw:
     def _sol(self, net, s, dtheta, f):
         return LdcSolution(
