@@ -359,7 +359,8 @@ def assign_facts(net: Network, fraction: float, interval_pct: float,
 
     Selects ``floor(fraction * count)`` fixed lines uniformly without
     replacement and widens each to ``[s0 (1 - pct/100), s0 (1 + pct/100)]``,
-    floored at zero.
+    floored at zero.  A chosen line with ``s0 = 0`` keeps ``[0, 0]``, also
+    when ``pct`` is infinite.
     """
     if not (0.0 <= fraction <= 1.0):
         raise InputError("fraction must lie in [0, 1]")
@@ -378,6 +379,9 @@ def assign_facts(net: Network, fraction: float, interval_pct: float,
                 f"line {ln.a}-{ln.b} already has a susceptance interval"
             )
         s0 = ln.s_min
+        if s0 == 0.0:  # 0 * inf would be NaN
+            lines.append(ln)
+            continue
         lo = max(s0 * (1.0 - interval_pct / 100.0), 0.0)
         hi = s0 * (1.0 + interval_pct / 100.0)
         lines.append(Line(ln.a, ln.b, lo, hi, ln.capacity, kind=ln.kind))

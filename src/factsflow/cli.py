@@ -273,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--at", choices=("lower", "upper", "mid"), default="mid",
                    help="susceptance point for controllable lines")
-    p.add_argument("--dump-lp", help="write the program in LP text form")
+    p.add_argument("--dump-lp", help="write the program in angle form, as LP text; the "
+                   "solver solves the equivalent shift-factor form, with the same optimum")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_mpf)
 

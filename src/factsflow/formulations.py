@@ -1,24 +1,30 @@
 """Network programs: one builder, and the throughput LPs built on it.
 
-:class:`NetworkLp` builds every network program (MPF, the MFF relaxation
-and MVF here, the lift and the alternative flow in :mod:`factsflow.maxflow`),
-gives the bounds that pin a controllable line's direction, and reads its
-vertices back as operating points.  It is the only code that knows how a
-controllable line's power law is laid out in cone parts.
+:class:`NetworkLp` builds the network programs in angle form, with an angle
+per bus and each line's power law as rows (the MFF relaxation and MVF here,
+the angle-form MPF that ``factsflow mpf --dump-lp`` writes, the lift and
+the alternative flow in :mod:`factsflow.maxflow`), gives the bounds that pin
+a controllable line's direction, and reads its vertices back as operating
+points.  It is the only code that knows how a controllable line's power law
+is laid out in cone parts.
 
 Two linear programs are the workhorses of the whole package:
 
 * :func:`solve_mpf` — maximum power flow with every susceptance pinned to a
-  given value (the classic linearised dispatch problem);
+  given value (the classic linearised dispatch problem), solved in
+  shift-factor form: with the susceptances fixed, the angles are linear in
+  the injections, so the program has a variable per injection and a row
+  per component, and a line's limit becomes a row only once an optimum
+  breaks it;
 * :func:`solve_mvf` — maximum flow when the *direction* of every
   controllable line is pinned by a bit while susceptances float inside
   their intervals: the MFF relaxation (:func:`build_mff_relaxation`) with
   each line's opposite cone parts pinned at zero.  Fixed lines take no bit.
 
 Both never come back infeasible: the all-zero operating point satisfies any
-choice of directions.  An MPF takes an optional start basis, that of the
-MPF at other susceptances (:attr:`SolvedPoint.basis`).  An MPF given no
-basis, and every MVF, starts from its program's spanning tree
+choice of directions.  An MPF takes an optional start, that of the MPF at
+other susceptances (:attr:`SolvedPoint.basis`): the limit rows it generated
+and its final basis.  Every MVF starts from its program's spanning tree
 (:meth:`NetworkLp.start_basis`), the textbook network-simplex basis (Ahuja,
 Magnanti and Orlin, "Network Flows", 1993), at the all-zero point; a
 program of more than :data:`_TREE_START_MAX_ROWS` rows starts from the
@@ -35,6 +41,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from .linprog import LinearProgram, LpBasis, LpError, rest_basis, solve_lp
 from .model import (
     BusKind,
@@ -47,6 +55,7 @@ from .model import (
 
 __all__ = [
     "NetworkLp",
+    "MpfStart",
     "SolvedPoint",
     "UNBOUNDED_S_CAP",
     "build_mff_relaxation",
@@ -77,27 +86,37 @@ UNBOUNDED_S_CAP = 100.0
 #: Programs of more than this many rows get no spanning-tree start from
 #: :meth:`NetworkLp.start_basis` and start from the slack basis.  The dense
 #: tableau is ``inv(B) @ A``: the slack basis keeps it as sparse as ``A``,
-#: while the tree's inverse fills it (36 % nonzero against 1.6 % at the
-#: start of a 100-bus MPF), so each pivot costs more than the pivots the
-#: tree saves once programs pass about 200 rows.  Tree-start CPU over
-#: slack-start CPU, three synthetic cases per size (30 % controllable lines
-#: at +/-30 %, generation and demand scaled by 3), with the simplex
-#: exchanges of the three:
+#: while the tree's inverse fills it, so each pivot costs more than the
+#: pivots the tree saves once programs pass about 200 rows.  Tree-start CPU
+#: over slack-start CPU for the MFF relaxation, three synthetic cases per
+#: size (30 % controllable lines at +/-30 %, generation and demand scaled by
+#: 3), with the simplex exchanges of the three:
 #:
-#: ======  ========  =========  ============  ========  =========  ============
-#: buses   MPF rows  tree/cold  exchanges     relax.    tree/cold  exchanges
-#: ======  ========  =========  ============  ========  =========  ============
-#: 8       37        0.40       138 -> 30     55        0.58       172 -> 64
-#: 15      70        0.42       251 -> 52     106       0.76       365 -> 147
-#: 30      140       0.71       503 -> 117    212       1.22       646 -> 249
-#: 45      210       0.85       778 -> 182    318       0.95       1,096 -> 468
-#: 60      280       1.15       1,070 -> 269  430       1.25       1,511 -> 656
-#: 100     466       1.62       1,726 -> 432  718       2.38       2,359 -> 1,107
-#: ======  ========  =========  ============  ========  =========  ============
+#: ======  =========  =========  ============
+#: buses   relax.     tree/cold  exchanges
+#:         rows
+#: ======  =========  =========  ============
+#: 8       55         0.58       172 -> 64
+#: 15      106        0.76       365 -> 147
+#: 30      212        1.22       646 -> 249
+#: 45      318        0.95       1,096 -> 468
+#: 60      430        1.25       1,511 -> 656
+#: 100     718        2.38       2,359 -> 1,107
+#: ======  =========  =========  ============
 #:
 #: A simplex that factors the basis instead of keeping the dense tableau
 #: would not pay for the fill, and this cutoff would go.
 _TREE_START_MAX_ROWS = 150
+
+#: A shift factor at or below this magnitude is dropped from its limit row.
+#: Shift factors lie in [-1, 1], and those that are zero in exact arithmetic,
+#: such as an injection's on a line of a radial branch that its flow does
+#: not cross, come out of the Laplacian solve as round-off of about 1e-16 to
+#: 1e-13; the dual simplex can pivot on such an entry and break down.
+_SHIFT_ZERO = 1e-12
+#: A line without a limit row is past its capacity when its flow exceeds it
+#: by more than this, relative to ``max(1, capacity)``.
+_LIMIT_TOL = 1e-9
 
 #: The link row ``f = fplus - fminus`` of a controllable line comes this many
 #: rows after its angle row, past the four cone rows.
@@ -351,47 +370,266 @@ def midpoint_susceptances(net: Network) -> dict[LineId, float]:
     return out
 
 
-def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None) -> NetworkLp:
-    """The fixed-susceptance LP at the susceptance point ``s``, checked
-    against each line's interval; omitted lines take ``s_min``."""
+def _checked_susceptances(net: Network, s: Mapping[LineId, float] | None) -> dict[LineId, float]:
+    """Every line's susceptance at the point ``s``, checked against its
+    interval; omitted lines take ``s_min``."""
     s = s or {}
-    builder = NetworkLp(net)
+    out = {}
     for ln in net.lines:
         val = float(s.get(ln.key, ln.s_min))
         if not (ln.s_min - 1e-12 <= val <= ln.s_max + 1e-12):
             raise InputError(
                 f"susceptance {val} for line {ln.a}-{ln.b} outside [{ln.s_min}, {ln.s_max}]"
             )
-        builder.add_power_law(ln, s=val)
+        out[ln.key] = val
+    return out
+
+
+def build_mpf_program(net: Network, s: Mapping[LineId, float] | None = None) -> NetworkLp:
+    """The fixed-susceptance LP at the susceptance point ``s`` in angle form,
+    checked against each line's interval; omitted lines take ``s_min``.
+    :func:`solve_mpf` solves the equivalent shift-factor form instead."""
+    s = _checked_susceptances(net, s)
+    builder = NetworkLp(net)
+    for ln in net.lines:
+        builder.add_power_law(ln, s=s[ln.key])
     builder.add_balance_rows()
     builder.set_throughput_objective()
     return builder
 
 
 @dataclass(frozen=True)
-class SolvedPoint(LdcSolution):
-    """An MPF optimum, with the optimal basis it was read from."""
+class MpfStart:
+    """Where the MPFs of a network start: the lines whose limit rows an
+    MPF of it generated, in the order they entered, and its final basis."""
 
-    basis: LpBasis | None = field(default=None, compare=False, repr=False)
+    lines: tuple[LineId, ...]
+    basis: LpBasis
+
+
+@dataclass(frozen=True)
+class SolvedPoint(LdcSolution):
+    """An MPF optimum, with the start it hands to other MPFs of the network."""
+
+    basis: MpfStart | None = field(default=None, compare=False, repr=False)
+
+
+class _ShiftFactorMpf:
+    """MPF in shift-factor form: one variable per generator or load
+    injection, one balance row per component that has one, and the limit
+    rows that :meth:`add_limits` adds.
+
+    Components are taken over the lines of nonzero susceptance, with the
+    bus of the lowest id in each as its reference, at angle 0.  Bus angles
+    are linear in the injections ``p``: ``theta = -inv(L_r) p``, where
+    ``L_r`` is the Laplacian weighted by the susceptances, without the
+    reference rows and columns.  So is each line's flow ``s * dtheta``,
+    through its row of shift factors.  The one line at a leaf bus carries
+    that bus's injection, so its capacity bounds the injection and the line
+    needs no row.
+    """
+
+    def __init__(self, net: Network, s: dict[LineId, float]):
+        self.net = net
+        self.s = s
+        index = self._index = {b.id: i for i, b in enumerate(net.buses)}
+        n = len(index)
+        live = [ln for ln in net.lines if s[ln.key] != 0.0]
+        ends = [(index[ln.a], index[ln.b]) for ln in live]
+        degree = [0] * n
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        for i, j in ends:
+            degree[i] += 1
+            degree[j] += 1
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        leaf_cap = {}
+        for ln, (i, j) in zip(live, ends):
+            for end in (i, j):
+                if degree[end] == 1:
+                    leaf_cap[end] = ln.capacity
+
+        lp = self.lp = LinearProgram()
+        self.gen: dict[str, int] = {}
+        self.load: dict[str, int] = {}
+        buses, signs = [], []
+        for i, bus in enumerate(net.buses):
+            if bus.kind is BusKind.JUNCTION:
+                continue
+            gen = bus.kind is BusKind.GENERATOR
+            (self.gen if gen else self.load)[bus.id] = lp.add_var(
+                f"{'gen' if gen else 'load'}[{bus.id}]", 0.0, leaf_cap.get(i, math.inf))
+            buses.append(i)
+            signs.append(1.0 if gen else -1.0)
+        self.injections = len(buses)
+
+        # Components by depth-first search, started in order of bus id.
+        component = [-1] * n
+        refs: list[int] = []
+        for ref in [index[bus] for bus in sorted(index)]:
+            if component[ref] >= 0:
+                continue
+            component[ref] = len(refs)
+            stack = [ref]
+            while stack:
+                for v in neighbours[stack.pop()]:
+                    if component[v] < 0:
+                        component[v] = len(refs)
+                        stack.append(v)
+            refs.append(ref)
+        balance: list[dict[int, float]] = [{} for _ in refs]
+        for j, (i, sign) in enumerate(zip(buses, signs)):
+            balance[component[i]][j] = sign
+        for row in balance:
+            if row:
+                lp.add_constraint(row, "=", 0.0)
+        lp.set_objective(dict.fromkeys(self.gen.values(), 1.0))
+
+        # Without its reference rows and columns the Laplacian is block
+        # diagonal over the components, and nonsingular.
+        self._angles = np.zeros((n, len(buses)))
+        if ends and buses:
+            a, b = np.array(ends, dtype=np.intp).T
+            w = np.array([s[ln.key] for ln in live])
+            laplacian = np.zeros((n, n))
+            laplacian[a, b] = -w
+            laplacian[b, a] = -w
+            laplacian.flat[::n + 1] = np.bincount(a, w, n) + np.bincount(b, w, n)
+            injection = np.zeros((n, len(buses)))
+            injection[buses, range(len(buses))] = signs
+            rest = np.delete(np.arange(n), refs)
+            self._angles[rest] = np.linalg.solve(laplacian[rest][:, rest], -injection[rest])
+
+        # The lines whose limit may need a row: nonzero susceptance, finite
+        # capacity and no leaf at either end.
+        self._open = [(ln, i, j) for ln, (i, j) in zip(live, ends)
+                      if math.isfinite(ln.capacity) and degree[i] > 1 and degree[j] > 1]
+        self.lines: list[LineId] = []
+
+    def add_limits(self, lines: list[Line], basis: LpBasis | None = None) -> LpBasis | None:
+        """Give each of ``lines`` a flow column ``f`` in ``[-capacity,
+        capacity]`` and the row ``f = PTDF . p``, without the shift factors
+        of at most :data:`_SHIFT_ZERO`.  Returns ``basis``, a basis of the
+        program before, extended with each new flow basic in its new row, or
+        ``None`` without one."""
+        lp, angles, index = self.lp, self._angles, self._index
+        n, m = lp.num_vars, lp.num_rows
+        shift = np.array([self.s[ln.key] for ln in lines])[:, None] * (
+            angles[[index[ln.b] for ln in lines]] - angles[[index[ln.a] for ln in lines]])
+        for ln, row in zip(lines, (-shift).tolist()):
+            coeffs = {j: c for j, c in enumerate(row) if abs(c) > _SHIFT_ZERO}
+            coeffs[lp.add_var(f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity)] = 1.0
+            lp.add_constraint(coeffs, "=", 0.0)
+            self.lines.append(ln.key)
+        if basis is None:
+            return None
+        k = lp.num_vars - n
+        old = basis.columns
+        extended = rest_basis(lp, np.concatenate([np.where(old < n, old, old + k),
+                                                  np.arange(n, n + k)]))
+        extended.status[:n] = basis.status[:n]
+        extended.status[n + k:n + k + m] = basis.status[n:]
+        return extended
+
+    def fits(self, basis: LpBasis) -> bool:
+        lp = self.lp
+        return (basis.columns.shape == (lp.num_rows,)
+                and basis.status.shape == (lp.num_vars + lp.num_rows,))
+
+    def theta(self, x) -> list[float]:
+        return (self._angles @ x[:self.injections]).tolist()
+
+    def unlimited(self) -> list[tuple[Line, int, int]]:
+        """The lines that may need a limit row and have none yet, with the
+        indices of their two buses."""
+        entered = set(self.lines)
+        return [line for line in self._open if line[0].key not in entered]
+
+    def broken(self, x) -> list[Line]:
+        """The lines without a limit row whose flow at ``x`` passes their
+        capacity."""
+        theta = self.theta(x)
+        return [ln for ln, i, j in self.unlimited()
+                if abs(self.s[ln.key] * (theta[j] - theta[i]))
+                > ln.capacity + _LIMIT_TOL * max(1.0, ln.capacity)]
+
+    def solution(self, x) -> LdcSolution:
+        """The operating point of the injections at ``x``: the angles above,
+        and each line's flow ``s * dtheta``, 0 where ``s = 0``."""
+        theta = self.theta(x)
+        index, s = self._index, self.s
+        flow = {}
+        for ln in self.net.lines:
+            key = ln.key
+            flow[key] = s[key] * (theta[index[ln.b]] - theta[index[ln.a]]) if s[key] else 0.0
+        return LdcSolution(
+            susceptance=s,
+            theta=dict(zip(index, theta)),
+            injections=InjectionSolution(
+                flow=flow,
+                gen={b: float(x[i]) for b, i in self.gen.items()},
+                load={b: float(x[i]) for b, i in self.load.items()},
+            ),
+        )
 
 
 def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
-              basis: LpBasis | None = None) -> SolvedPoint:
+              basis: MpfStart | None = None) -> SolvedPoint:
     """Maximum throughput with susceptances pinned at ``s``.
 
     ``s`` must lie inside each line's interval; lines omitted from ``s``
     default to ``s_min``.  Never infeasible (the zero point always works).
-    ``basis``, the :attr:`SolvedPoint.basis` of an MPF of the same network at
-    other susceptances, is where the simplex starts (see
-    :func:`linprog.solve_lp`); without it, the program's spanning tree
-    (:meth:`NetworkLp.start_basis`) is.
+
+    The program is the shift-factor form (:class:`_ShiftFactorMpf`; Stott,
+    Jardim and Alsaç, "DC power flow revisited", IEEE Trans. Power Syst.
+    24(3), 2009), solved by row generation.  After each optimum, every line
+    past its capacity gets a limit row, and the program is solved again
+    from the last basis with each new flow basic: the costs do not change,
+    so that start is dual feasible and the dual simplex repairs only the new
+    rows.  The rounds stop when no line is past its capacity.  A round that
+    comes back unbounded adds every remaining line of finite capacity once;
+    if it is unbounded still, :class:`LpError` is raised.  A warm round that
+    breaks down numerically is solved again from the slack basis.
+
+    ``basis``, the :attr:`SolvedPoint.basis` of an MPF of the same network
+    at other susceptances, gives the limit rows to start with, and the
+    basis to start from when the program's shape fits it.  Without it, the
+    first round has no limit rows, and whenever no basis fits, the first
+    round starts from the slack basis.
     """
-    builder = build_mpf_program(net, s)
-    res = solve_lp(builder.lp, basis=basis or builder.start_basis())
-    if res.status != "optimal":
-        raise LpError(f"fixed-susceptance solve returned {res.status}")
-    point = builder.solution(res.x)
-    return SolvedPoint(point.susceptance, point.theta, point.injections, res.basis)
+    s = _checked_susceptances(net, s)
+    program = _ShiftFactorMpf(net, s)
+    start = None
+    if basis is not None:
+        by_key = {ln.key: ln for ln in net.lines}
+        program.add_limits([by_key[key] for key in basis.lines])
+        if program.fits(basis.basis):
+            start = basis.basis
+    widened = False
+    while True:
+        try:
+            res = solve_lp(program.lp, basis=start)
+        except LpError:
+            if start is None:
+                raise
+            # A warm round can pivot on round-off and break down, where the
+            # cold start's primal simplex, with its stable ratio test, does not.
+            res = solve_lp(program.lp)
+        if res.status == "unbounded" and not widened:
+            widened = True
+            remaining = [ln for ln, _, _ in program.unlimited()]
+            if remaining:
+                start = program.add_limits(remaining, start)
+                continue
+        if res.status != "optimal":
+            raise LpError(f"fixed-susceptance solve returned {res.status}")
+        broken = program.broken(res.x)
+        if not broken:
+            break
+        start = program.add_limits(broken, res.basis)
+    point = program.solution(res.x)
+    return SolvedPoint(point.susceptance, point.theta, point.injections,
+                       MpfStart(tuple(program.lines), res.basis))
 
 
 def build_mff_relaxation(net: Network) -> NetworkLp:

@@ -11,11 +11,15 @@ is a feasible operating point and therefore a lower bound for the exact
 solver, which it can warm start.
 
 Every MVF starts from its program's spanning tree
-(:meth:`formulations.NetworkLp.start_basis`).  The MPFs of a network start
-from the tree once, at a fixed anchor, the MPF with every line at
-``s_min`` (the lower start's first step), and every other MPF starts from
-the anchor's optimal basis (see :func:`linprog.solve_lp`), since it differs
-from the anchor only in the coefficients of the power-law rows.
+(:meth:`formulations.NetworkLp.start_basis`).  Every MPF is solved in
+shift-factor form, where a line's limit becomes a row only once an optimum
+breaks it (:func:`formulations.solve_mpf`).  One MPF per network, the
+anchor, the MPF with every line at ``s_min`` (the lower start's first
+step), starts with no limit rows; every other MPF starts with the anchor's
+limit rows, in the order they entered, and from the anchor's final basis
+when its program has the same shape (a line with ``s_min = 0``, at rest
+in the anchor, may join two components and so drop a balance row),
+otherwise from the slack basis.
 
 Because the anchor is fixed, every MPF and MVF optimum depends only on its
 network and susceptances or bits, not on which solves came before; a run
@@ -40,9 +44,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .linprog import LpBasis, LpError
+from .linprog import LpError
 from .model import InputError, LdcSolution, Network
-from .formulations import extract_signs, midpoint_susceptances, solve_mpf, solve_mvf
+from .formulations import MpfStart, extract_signs, midpoint_susceptances, solve_mpf, solve_mvf
 
 __all__ = ["ImTrace", "ImResult", "MultiStartResult", "solve_im", "multi_start_im",
            "start_susceptances"]
@@ -110,8 +114,8 @@ def start_susceptances(net: Network, which: str) -> dict[LineId, float]:
 
 
 class _SolvedPrograms:
-    """The MPF and MVF optima solved so far on one network, and the basis
-    of the MPF anchor, solved before any other MPF.
+    """The MPF and MVF optima solved so far on one network, and the start
+    that the MPF anchor, solved before any other MPF, hands to the others.
 
     Each optimum is keyed by all that its solve reads: MPF by the
     susceptance of every line, MVF by the bit of every controllable line
@@ -127,10 +131,10 @@ class _SolvedPrograms:
         self._mvf: dict[tuple, LdcSolution] = {}
 
     @functools.cached_property
-    def _mpf_anchor(self) -> LpBasis | None:
+    def _mpf_anchor(self) -> MpfStart | None:
         try:
             point = solve_mpf(self.net)
-        except LpError:  # unbounded at s_min: every MPF starts from its own tree
+        except LpError:  # unbounded at s_min: every MPF starts with no limit rows
             return None
         self._mpf[self._lower] = point
         return point.basis

@@ -243,6 +243,19 @@ class TestScenarioEdits:
             if ln.kind is LineKind.REGULAR:
                 assert ln.s_min == 0.0
 
+    def test_zero_susceptance_line_keeps_zero_interval(self):
+        """``0 * inf`` is NaN: under an infinite percentage a line fixed at
+        ``s = 0`` stays at ``[0, 0]``, and every other line gets ``[0, inf)``."""
+        from factsflow.model import Bus, Line, Network
+
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("a"), Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "a", 0.0, 0.0, 2.0), Line("a", "l", 1.5, 1.5, 3.0)),
+        )
+        out = assign_facts(net, 1.0, math.inf, seed=5)
+        assert out.lines[0] == net.lines[0]
+        assert (out.lines[1].s_min, out.lines[1].s_max) == (0.0, math.inf)
+
     def test_half_fraction_counts(self):
         net = self._net()
         out = assign_facts(net, 0.5, 30.0, seed=9)

@@ -259,6 +259,153 @@ FAMILIES = {
 }
 
 
+def _highs_mpf(net: Network, s) -> float:
+    """MPF in angle form by :func:`_highs_throughput`: every line keeps
+    ``f = s * (theta[b] - theta[a])`` at its susceptance in ``s``."""
+
+    def fixed(ln, f, ta, tb, var):
+        return [({f: 1.0, tb: -s[ln.key], ta: s[ln.key]}, 0.0)], []
+
+    return _highs_throughput(net, fixed)
+
+
+def _two_generator_mesh() -> Network:
+    """Generators behind leaf lines at ``a`` and ``b`` (at most 10 each)
+    and a load behind one at ``c`` feed the unit triangle ``a-b-c``.  With
+    both generators at 10, ``a-c`` carries 10 past its capacity 8 and ``a-b``
+    nothing; once ``a-c`` is limited, generator ``a`` backs off to 7 and
+    ``a-b`` carries 1 past its capacity 0.5.  The optimum is 16.5."""
+    return Network(
+        buses=(Bus("ga", BusKind.GENERATOR), Bus("gb", BusKind.GENERATOR), Bus("a"), Bus("b"),
+               Bus("c"), Bus("d", BusKind.LOAD)),
+        lines=(Line("ga", "a", 1.0, 1.0, 10.0), Line("gb", "b", 1.0, 1.0, 10.0),
+               Line("c", "d", 1.0, 1.0, 20.0), Line("a", "b", 1.0, 1.0, 0.5),
+               Line("b", "c", 1.0, 1.0, 12.0), Line("a", "c", 1.0, 1.0, 8.0)),
+    )
+
+
+class TestShiftFactorMpf:
+    """``solve_mpf`` solves the shift-factor form by row generation; HiGHS
+    solves the angle form, sharing no code with it."""
+
+    @staticmethod
+    def _check(net, s=None):
+        s = {ln.key: (s or {}).get(ln.key, ln.s_min) for ln in net.lines}
+        ours = solve_mpf(net, s)
+        assert ours.value == pytest.approx(_highs_mpf(net, s), rel=1e-7, abs=1e-7)
+        assert validate_solution(net, ours).ok
+        return ours
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_families_match_highs(self, family, seed):
+        pytest.importorskip("scipy.optimize")
+        net = FAMILIES[family](seed)
+        for which in ("lower", "mid", "upper"):
+            self._check(net, start_susceptances(net, which))
+
+    def test_zero_susceptance_line_splits_the_network(self):
+        # Two generator-load pairs of capacities 2 and 3, joined by a line
+        # at s = 0: each pair is a component with its own balance.
+        pytest.importorskip("scipy.optimize")
+        net = Network(
+            buses=(Bus("g1", BusKind.GENERATOR), Bus("l1", BusKind.LOAD),
+                   Bus("g2", BusKind.GENERATOR), Bus("l2", BusKind.LOAD)),
+            lines=(Line("g1", "l1", 1.0, 1.0, 2.0), Line("g2", "l2", 1.0, 1.0, 3.0),
+                   Line("l1", "g2", 0.0, 1.0, 10.0)),
+        )
+        point = self._check(net)
+        assert point.value == pytest.approx(5.0, abs=1e-12)
+        assert point.injections.flow[("l1", "g2")] == 0.0
+        # At s > 0 the three lines form one path, and g2 also feeds l1.
+        assert self._check(net, {("l1", "g2"): 0.5}).value == pytest.approx(15.0, abs=1e-9)
+
+    def test_infinite_capacity_lines(self):
+        pytest.importorskip("scipy.optimize")
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("a"), Bus("b"), Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "a", 1.0, 1.0, math.inf), Line("g", "b", 1.0, 2.0, math.inf),
+                   Line("a", "l", 1.0, 1.0, 3.0), Line("b", "l", 1.0, 1.0, 4.0),
+                   Line("a", "b", 1.0, 1.0, math.inf)),
+        )
+        for which in ("lower", "mid", "upper"):
+            self._check(net, start_susceptances(net, which))
+        for family in (random_unbounded_upper, random_partly_unbounded):
+            for seed in range(8):
+                net = family(seed)
+                net = Network(net.buses, tuple(
+                    Line(ln.a, ln.b, ln.s_min, ln.s_max, math.inf if i % 3 == 0 else ln.capacity)
+                    for i, ln in enumerate(net.lines)))
+                try:
+                    self._check(net, midpoint_susceptances(net))
+                except linprog.LpError:  # some generator-load path is unlimited
+                    with pytest.raises(AssertionError, match="unbounded"):
+                        _highs_mpf(net, midpoint_susceptances(net))
+
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_pair_joined_only_by_unlimited_lines_raises(self, finite):
+        """The first round is unbounded; every remaining line of finite
+        capacity is added once (here a triangle off the path, which carries
+        no flow), and the program stays unbounded."""
+        lines = [Line("g", "a", 1.0, 1.0, math.inf), Line("a", "l", 1.0, 1.0, math.inf)]
+        if finite:
+            lines += [Line("a", "b", 1.0, 1.0, 1.0), Line("b", "c", 1.0, 1.0, 1.0),
+                      Line("c", "a", 1.0, 1.0, 1.0)]
+        net = Network(
+            buses=(Bus("g", BusKind.GENERATOR), Bus("a"), Bus("b"), Bus("c"),
+                   Bus("l", BusKind.LOAD)),
+            lines=tuple(lines),
+        )
+        with pytest.raises(linprog.LpError, match="unbounded"):
+            solve_mpf(net)
+
+    def test_binding_line_can_enter_in_a_later_round(self, monkeypatch):
+        pytest.importorskip("scipy.optimize")
+        rows = []
+
+        def counting(lp, bound_overrides=None, basis=None):
+            rows.append(lp.num_rows)
+            return solve_lp(lp, bound_overrides, basis)
+
+        monkeypatch.setattr(formulations, "solve_lp", counting)
+        net = _two_generator_mesh()
+        point = self._check(net)
+        assert point.value == pytest.approx(16.5, abs=1e-9)
+        assert point.basis.lines == (("a", "c"), ("a", "b"))
+        assert rows == [1, 2, 3]  # the balance row, then one limit row per round
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_anchor_start_gives_the_same_optimum(self, family):
+        """Started with the rows and basis of the MPF at ``s_min``, as IM
+        starts every other MPF of a network, or without them."""
+        for seed in range(8):
+            net = FAMILIES[family](seed)
+            try:
+                anchor = solve_mpf(net).basis
+            except linprog.LpError:
+                continue
+            for which in ("mid", "upper"):
+                s = start_susceptances(net, which)
+                warm, cold = solve_mpf(net, s, basis=anchor), solve_mpf(net, s)
+                assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+                assert validate_solution(net, warm).ok
+                assert set(anchor.lines) <= set(warm.basis.lines)
+
+    def test_a_warm_round_that_breaks_down_is_solved_cold(self, monkeypatch):
+        expected = solve_mpf(_two_generator_mesh()).value
+        starts = []
+
+        def failing_warm(lp, bound_overrides=None, basis=None):
+            starts.append(basis is not None)
+            if basis is not None:
+                raise linprog.LpError("singular basis")
+            return solve_lp(lp, bound_overrides, basis)
+
+        monkeypatch.setattr(formulations, "solve_lp", failing_warm)
+        assert solve_mpf(_two_generator_mesh()).value == pytest.approx(expected, rel=1e-12)
+        assert starts == [False, True, False, True, False]
+
+
 class TestMffRelaxationIsTheHull:
     """The root of ``build_mff_relaxation`` is the hull of each controllable
     line's two capacity-bounded cones, not the plain arc ``|f| <= cap``."""
