@@ -14,8 +14,9 @@ Two linear programs are the workhorses of the whole package:
   given value (the classic linearised dispatch problem), solved in
   shift-factor form: with the susceptances fixed, the angles are linear in
   the injections, so the program has a variable per injection and a row
-  per component, and a line's limit becomes a row only once an optimum
-  breaks it;
+  per component.  A leaf bus's line bounds its injection, and the angles
+  come from the Laplacian without the leaves.  A line's limit becomes a
+  row only once an optimum breaks it, the worst overloads first;
 * :func:`solve_mvf` — maximum flow when the *direction* of every
   controllable line is pinned by a bit while susceptances float inside
   their intervals: the MFF relaxation (:func:`build_mff_relaxation`) with
@@ -421,12 +422,17 @@ class _ShiftFactorMpf:
 
     Components are taken over the lines of nonzero susceptance, with the
     bus of the lowest id in each as its reference, at angle 0.  Bus angles
-    are linear in the injections ``p``: ``theta = -inv(L_r) p``, where
-    ``L_r`` is the Laplacian weighted by the susceptances, without the
-    reference rows and columns.  So is each line's flow ``s * dtheta``,
-    through its row of shift factors.  The one line at a leaf bus carries
-    that bus's injection, so its capacity bounds the injection and the line
-    needs no row.
+    are linear in the injections ``p``: ``L theta = -p``, where ``L`` is the
+    Laplacian weighted by the susceptances.  So is each line's flow
+    ``s * dtheta``, through its row of shift factors.
+
+    A leaf, a bus at the end of exactly one such line, carries its own
+    injection ``p`` over that line.  So the line's capacity bounds the
+    injection and the line needs no row, and, unless the leaf is its
+    component's reference, its angle is its neighbour's minus ``p / s`` and
+    its injection joins the neighbour's.  The Laplacian is solved over the
+    other buses only, without the references, for the angle responses to
+    each injection (zero at the references).
     """
 
     def __init__(self, net: Network, s: dict[LineId, float]):
@@ -434,36 +440,39 @@ class _ShiftFactorMpf:
         self.s = s
         index = self._index = {b.id: i for i, b in enumerate(net.buses)}
         n = len(index)
-        live = [ln for ln in net.lines if s[ln.key] != 0.0]
-        ends = [(index[ln.a], index[ln.b]) for ln in live]
-        degree = [0] * n
-        neighbours: list[list[int]] = [[] for _ in range(n)]
-        for i, j in ends:
-            degree[i] += 1
-            degree[j] += 1
-            neighbours[i].append(j)
-            neighbours[j].append(i)
-        leaf_cap = {}
-        for ln, (i, j) in zip(live, ends):
-            for end in (i, j):
-                if degree[end] == 1:
-                    leaf_cap[end] = ln.capacity
+        self._a = np.array([index[ln.a] for ln in net.lines], dtype=np.intp)
+        self._b = np.array([index[ln.b] for ln in net.lines], dtype=np.intp)
+        self._w = np.array([s[ln.key] for ln in net.lines], dtype=float)
+        cap = np.array([ln.capacity for ln in net.lines], dtype=float)
+        live = (self._w != 0.0).nonzero()[0]
+        a, b, w = self._a[live], self._b[live], self._w[live]
+        degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        bound = np.full(n, math.inf)
+        for end in (a, b):
+            leafy = degree[end] == 1
+            bound[end[leafy]] = cap[live[leafy]]
 
         lp = self.lp = LinearProgram()
         self.gen: dict[str, int] = {}
         self.load: dict[str, int] = {}
         buses, signs = [], []
-        for i, bus in enumerate(net.buses):
+        for i, (bus, hi) in enumerate(zip(net.buses, bound.tolist())):
             if bus.kind is BusKind.JUNCTION:
                 continue
             gen = bus.kind is BusKind.GENERATOR
             (self.gen if gen else self.load)[bus.id] = lp.add_var(
-                f"{'gen' if gen else 'load'}[{bus.id}]", 0.0, leaf_cap.get(i, math.inf))
+                f"{'gen' if gen else 'load'}[{bus.id}]", 0.0, hi)
             buses.append(i)
             signs.append(1.0 if gen else -1.0)
         self.injections = len(buses)
+        self._bus = np.array(buses, dtype=np.intp)
+        self._sign = np.array(signs)
 
         # Components by depth-first search, started in order of bus id.
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        for i, j in zip(a.tolist(), b.tolist()):
+            neighbours[i].append(j)
+            neighbours[j].append(i)
         component = [-1] * n
         refs: list[int] = []
         for ref in [index[bus] for bus in sorted(index)]:
@@ -485,45 +494,79 @@ class _ShiftFactorMpf:
                 lp.add_constraint(row, "=", 0.0)
         lp.set_objective(dict.fromkeys(self.gen.values(), 1.0))
 
-        # Without its reference rows and columns the Laplacian is block
-        # diagonal over the components, and nonsingular.
-        self._angles = np.zeros((n, len(buses)))
-        if ends and buses:
-            a, b = np.array(ends, dtype=np.intp).T
-            w = np.array([s[ln.key] for ln in live])
-            laplacian = np.zeros((n, n))
-            laplacian[a, b] = -w
-            laplacian[b, a] = -w
-            laplacian.flat[::n + 1] = np.bincount(a, w, n) + np.bincount(b, w, n)
-            injection = np.zeros((n, len(buses)))
-            injection[buses, range(len(buses))] = signs
-            rest = np.delete(np.arange(n), refs)
-            self._angles[rest] = np.linalg.solve(laplacian[rest][:, rest], -injection[rest])
+        # Every leaf but the references goes: ``host`` is the bus whose
+        # angle each bus reads, itself or a leaf's neighbour, and ``row``
+        # that bus's row of the angle responses, the last (zero) one for a
+        # reference.
+        leaf = degree == 1
+        leaf[refs] = False
+        at_a, at_b = leaf[a], leaf[b]
+        leaves = np.concatenate([a[at_a], b[at_b]])
+        host = np.arange(n)
+        host[leaves] = np.concatenate([b[at_a], a[at_b]])
+        inner = ~leaf
+        inner[refs] = False
+        k = int(inner.sum())
+        row = np.full(n, k)
+        row[inner] = np.arange(k)
+        self._row = row[host]
+        self._leaves, self._leaf_w = leaves, np.concatenate([w[at_a], w[at_b]])
+        # The angle responses to each injection, on the buses that stay.
+        # Without the references and the leaves the Laplacian is that of the
+        # remaining lines, block diagonal over the components, and
+        # nonsingular.
+        self._angles = np.zeros((k + 1, self.injections))
+        hosting = self._row[self._bus]
+        hosted = (hosting < k).nonzero()[0]
+        if hosted.size:
+            core = ~(at_a | at_b)
+            ca, cb, cw = row[a[core]], row[b[core]], w[core]
+            laplacian = np.zeros((k + 1, k + 1))
+            laplacian[ca, cb] = -cw
+            laplacian[cb, ca] = -cw
+            laplacian.flat[::k + 2] = np.bincount(ca, cw, k + 1) + np.bincount(cb, cw, k + 1)
+            injection = np.zeros((k, self.injections))
+            injection[hosting[hosted], hosted] = -self._sign[hosted]
+            self._angles[:k] = np.linalg.solve(laplacian[:k, :k], injection)
 
         # The lines whose limit may need a row: nonzero susceptance, finite
         # capacity and no leaf at either end.
-        self._open = [(ln, i, j) for ln, (i, j) in zip(live, ends)
-                      if math.isfinite(ln.capacity) and degree[i] > 1 and degree[j] > 1]
+        opened = live[np.isfinite(cap[live]) & (degree[a] > 1) & (degree[b] > 1)]
+        self._open = [net.lines[i] for i in opened.tolist()]
+        self._oa, self._ob = row[self._a[opened]], row[self._b[opened]]
+        self._ow, self._ocap = self._w[opened], cap[opened]
+        self._limit = self._ocap + _LIMIT_TOL * np.maximum(1.0, self._ocap)
+        self._unlimited = np.ones(len(self._open), dtype=bool)
         self.lines: list[LineId] = []
 
-    def add_limits(self, lines: list[Line], basis: LpBasis | None = None) -> LpBasis | None:
-        """Give each of ``lines`` a flow column ``f`` in ``[-capacity,
-        capacity]`` and the row ``f = PTDF . p``, without the shift factors
-        of at most :data:`_SHIFT_ZERO`.  Returns ``basis``, a basis of the
-        program before, extended with each new flow basic in its new row, or
-        ``None`` without one."""
-        lp, angles, index = self.lp, self._angles, self._index
-        n, m = lp.num_vars, lp.num_rows
-        shift = np.array([self.s[ln.key] for ln in lines])[:, None] * (
-            angles[[index[ln.b] for ln in lines]] - angles[[index[ln.a] for ln in lines]])
-        for ln, row in zip(lines, (-shift).tolist()):
-            coeffs = {j: c for j, c in enumerate(row) if abs(c) > _SHIFT_ZERO}
-            coeffs[lp.add_var(f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity)] = 1.0
-            lp.add_constraint(coeffs, "=", 0.0)
+    def open_lines(self, keys) -> np.ndarray:
+        """The positions among the lines that may need a limit row of those
+        of ``keys`` that are such lines."""
+        at = {ln.key: p for p, ln in enumerate(self._open)}
+        return np.array([at[key] for key in keys if key in at], dtype=np.intp)
+
+    def add_limits(self, chosen: np.ndarray, basis: LpBasis | None = None) -> LpBasis | None:
+        """Give each line at the positions ``chosen`` a flow column ``f`` in
+        ``[-capacity, capacity]`` and the row ``f = PTDF . p``, without the
+        shift factors of at most :data:`_SHIFT_ZERO`, as one block of rows.
+        Returns ``basis``, a basis of the program before, extended with each
+        new flow basic in its new row, or ``None`` without one."""
+        lp, angles, injections = self.lp, self._angles, self.injections
+        n, m, k = lp.num_vars, lp.num_rows, len(chosen)
+        if not k:
+            return basis
+        shift = self._ow[chosen, None] * (angles[self._ob[chosen]] - angles[self._oa[chosen]])
+        block = np.zeros((k, injections + k))
+        np.negative(shift, out=block[:, :injections], where=np.abs(shift) > _SHIFT_ZERO)
+        block[:, injections:].flat[::k + 1] = 1.0
+        for p in chosen.tolist():
+            ln = self._open[p]
+            lp.add_var(f"flow[{ln.a}-{ln.b}]", -ln.capacity, ln.capacity)
             self.lines.append(ln.key)
+        lp.add_rows(np.concatenate([np.arange(injections), np.arange(n, n + k)]), block, "=")
+        self._unlimited[chosen] = False
         if basis is None:
             return None
-        k = lp.num_vars - n
         old = basis.columns
         extended = rest_basis(lp, np.concatenate([np.where(old < n, old, old + k),
                                                   np.arange(n, n + k)]))
@@ -536,37 +579,56 @@ class _ShiftFactorMpf:
         return (basis.columns.shape == (lp.num_rows,)
                 and basis.status.shape == (lp.num_vars + lp.num_rows,))
 
-    def theta(self, x) -> list[float]:
-        return (self._angles @ x[:self.injections]).tolist()
+    def _core_angles(self, x) -> np.ndarray:
+        """The angle at each row of the angle responses under the
+        injections at ``x``."""
+        return self._angles @ x[:self.injections]
 
-    def unlimited(self) -> list[tuple[Line, int, int]]:
-        """The lines that may need a limit row and have none yet, with the
-        indices of their two buses."""
-        entered = set(self.lines)
-        return [line for line in self._open if line[0].key not in entered]
+    def theta(self, x) -> np.ndarray:
+        """Every bus's angle at ``x``: its host's, less a leaf's ``p / s``."""
+        theta = self._core_angles(x)[self._row]
+        own = np.zeros(len(theta))
+        own[self._bus] = x[:self.injections] * self._sign
+        theta[self._leaves] -= own[self._leaves] / self._leaf_w
+        return theta
 
-    def broken(self, x) -> list[Line]:
-        """The lines without a limit row whose flow at ``x`` passes their
-        capacity."""
-        theta = self.theta(x)
-        return [ln for ln, i, j in self.unlimited()
-                if abs(self.s[ln.key] * (theta[j] - theta[i]))
-                > ln.capacity + _LIMIT_TOL * max(1.0, ln.capacity)]
+    def unlimited(self) -> np.ndarray:
+        """The positions of the lines that may need a limit row and have
+        none yet."""
+        return self._unlimited.nonzero()[0]
+
+    def overloaded(self, x) -> np.ndarray:
+        """The positions of the lines without a limit row that ``x`` breaks
+        worst.
+
+        A line is broken when its flow passes its capacity by more than
+        :data:`_LIMIT_TOL`, relative to ``max(1, capacity)``.  Of those, the
+        lines whose overload ratio ``r = |flow| / capacity`` has ``r - 1``
+        at least half the largest ``r - 1`` are returned; a zero-capacity
+        line that carries flow has ``r = inf``.
+        """
+        theta = self._core_angles(x)
+        flow = np.abs(self._ow * (theta[self._ob] - theta[self._oa]))
+        broken = (flow > self._limit) & self._unlimited
+        if not broken.any():
+            return broken.nonzero()[0]
+        cap = self._ocap
+        ratio = np.full(flow.shape, math.inf)
+        np.divide(flow, cap, out=ratio, where=cap > 0.0)
+        worst = ratio[broken].max()
+        return (broken & (ratio - 1.0 >= (worst - 1.0) / 2.0)).nonzero()[0]
 
     def solution(self, x) -> LdcSolution:
         """The operating point of the injections at ``x``: the angles above,
         and each line's flow ``s * dtheta``, 0 where ``s = 0``."""
         theta = self.theta(x)
-        index, s = self._index, self.s
-        flow = {}
-        for ln in self.net.lines:
-            key = ln.key
-            flow[key] = s[key] * (theta[index[ln.b]] - theta[index[ln.a]]) if s[key] else 0.0
+        # Adding 0.0 turns the -0.0 of a line at s = 0 into 0.0.
+        flow = self._w * (theta[self._b] - theta[self._a]) + 0.0
         return LdcSolution(
-            susceptance=s,
-            theta=dict(zip(index, theta)),
+            susceptance=self.s,
+            theta=dict(zip(self._index, theta.tolist())),
             injections=InjectionSolution(
-                flow=flow,
+                flow=dict(zip((ln.key for ln in self.net.lines), flow.tolist())),
                 gen={b: float(x[i]) for b, i in self.gen.items()},
                 load={b: float(x[i]) for b, i in self.load.items()},
             ),
@@ -582,14 +644,17 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
 
     The program is the shift-factor form (:class:`_ShiftFactorMpf`; Stott,
     Jardim and Alsaç, "DC power flow revisited", IEEE Trans. Power Syst.
-    24(3), 2009), solved by row generation.  After each optimum, every line
-    past its capacity gets a limit row, and the program is solved again
-    from the last basis with each new flow basic: the costs do not change,
-    so that start is dual feasible and the dual simplex repairs only the new
-    rows.  The rounds stop when no line is past its capacity.  A round that
-    comes back unbounded adds every remaining line of finite capacity once;
-    if it is unbounded still, :class:`LpError` is raised.  A warm round that
-    breaks down numerically is solved again from the slack basis.
+    24(3), 2009), solved by row generation.  After each optimum, the flows
+    of the lines without a limit row come from one matrix product, and the
+    worst overloaded ones get their limit rows, as one block
+    (:meth:`_ShiftFactorMpf.overloaded`): few limits bind at the end, so
+    the program stays small.  It is solved again from the last basis with
+    each new flow basic: the costs do not change, so that start is dual
+    feasible and the dual simplex repairs only the new rows.  The rounds
+    stop when no line is past its capacity.  A round that comes back
+    unbounded adds every remaining line of finite capacity once; if it is
+    unbounded still, :class:`LpError` is raised.  A warm round that breaks
+    down numerically is solved again from the slack basis.
 
     ``basis``, the :attr:`SolvedPoint.basis` of an MPF of the same network
     at other susceptances, gives the limit rows to start with, and the
@@ -601,8 +666,7 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
     program = _ShiftFactorMpf(net, s)
     start = None
     if basis is not None:
-        by_key = {ln.key: ln for ln in net.lines}
-        program.add_limits([by_key[key] for key in basis.lines])
+        program.add_limits(program.open_lines(basis.lines))
         if program.fits(basis.basis):
             start = basis.basis
     widened = False
@@ -617,16 +681,16 @@ def solve_mpf(net: Network, s: Mapping[LineId, float] | None = None,
             res = solve_lp(program.lp)
         if res.status == "unbounded" and not widened:
             widened = True
-            remaining = [ln for ln, _, _ in program.unlimited()]
-            if remaining:
+            remaining = program.unlimited()
+            if remaining.size:
                 start = program.add_limits(remaining, start)
                 continue
         if res.status != "optimal":
             raise LpError(f"fixed-susceptance solve returned {res.status}")
-        broken = program.broken(res.x)
-        if not broken:
+        overloaded = program.overloaded(res.x)
+        if not overloaded.size:
             break
-        start = program.add_limits(broken, res.basis)
+        start = program.add_limits(overloaded, res.basis)
     point = program.solution(res.x)
     return SolvedPoint(point.susceptance, point.theta, point.injections,
                        MpfStart(tuple(program.lines), res.basis))

@@ -38,6 +38,16 @@ nothing eligible.
 Each solve counts its work in :attr:`LpResult.stats`: the pivots of each
 loop and the refactorisations of the tableau.
 
+The standard form ``A x + s = b`` that every solve works on, the program's
+columns then one slack per row, lives in the :class:`LinearProgram`.  The
+program is built by appending variables and rows, a block of rows at a
+time when they come as an array, and keeps its coefficient matrix current
+as it grows.  The first solve after an append copies that matrix beside
+the slack identity; every later solve reuses the form, under its own
+bounds, so a branch and bound solves one program at every node, and a
+program that only grows, such as MPF's rounds of limit rows, pays one
+array copy per round.
+
 Both loops change the basis through one method, ``_Tableau.exchange``: it
 moves the entering column, rests the leaving one on its bound, pivots,
 updates the reduced costs along the new pivot row, and refactorises the
@@ -72,6 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,22 +135,39 @@ class LpError(RuntimeError):
     """Numerical failure distinct from an infeasible or unbounded model."""
 
 
-@dataclass
 class LinearProgram:
-    """A maximisation LP under construction.
+    """A maximisation LP, built by appending.
 
     Use :meth:`add_var` to declare variables (returning their index), then
-    :meth:`add_constraint` with ``{index: coefficient}`` expressions, and
-    :meth:`set_objective`.
+    :meth:`add_constraint` with ``{index: coefficient}`` expressions or
+    :meth:`add_rows` with a block of rows as an array, and
+    :meth:`set_objective`.  Variables and rows are only ever appended; the
+    bounds ``lb`` and ``ub`` are lists that may be edited in place.
+
+    The program keeps its coefficient matrix current as it grows, in an
+    array with room to spare on both axes, and holds the one equality
+    standard form that :func:`solve_lp` solves (see :func:`_form`).
+    That form is built with one array copy on the first solve after an
+    append and reused by every later solve, under any bounds.
     """
 
-    names: list[str] = field(default_factory=list)
-    lb: list[float] = field(default_factory=list)
-    ub: list[float] = field(default_factory=list)
-    rows: list[dict[int, float]] = field(default_factory=list)
-    senses: list[str] = field(default_factory=list)
-    rhs: list[float] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.lb: list[float] = []
+        self.ub: list[float] = []
+        self._senses: list[str] = []
+        self._rhs: list[float] = []
+        self._objective: dict[int, float] = {}
+        #: Each row: the nonzero coefficients given to add_constraint, or
+        #: the variables of a block that add_rows wrote straight into
+        #: ``_coef``.
+        self._rows: list = []
+        #: The coefficients of row i, variable j at ``[i, j]``; zero past
+        #: the rows and variables declared so far, and on the rows in
+        #: ``_pending``, which :meth:`_matrix` writes in when asked.
+        self._coef = np.zeros((0, 0))
+        self._pending: list[int] = []
+        self._form: _Form | None = None
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF) -> int:
         if lb > ub:
@@ -147,6 +175,7 @@ class LinearProgram:
         self.names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
+        self._form = None
         return len(self.names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
@@ -156,17 +185,75 @@ class LinearProgram:
         for idx in coeffs:
             if not (0 <= idx < n):
                 raise ValueError(f"constraint references undeclared variable {idx}")
-        self.rows.append({k: float(v) for k, v in coeffs.items() if v != 0.0})
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
-        return len(self.rows) - 1
+        self._pending.append(len(self._rows))
+        self._rows.append({k: float(v) for k, v in coeffs.items() if v != 0.0})
+        self._senses.append(sense)
+        self._rhs.append(float(rhs))
+        self._form = None
+        return len(self._rows) - 1
+
+    def add_rows(self, columns, coeffs, sense: str, rhs=0.0) -> range:
+        """Append a row for each row of the 2-D array ``coeffs``, whose
+        column ``k`` holds the coefficients of variable ``columns[k]``.  Every
+        new row has sense ``sense``; ``rhs`` is one right-hand side for all
+        of them or one per row.  Returns the indices of the new rows."""
+        if sense not in ("<=", "=", ">="):
+            raise ValueError(f"bad sense {sense!r}")
+        columns = np.asarray(columns, dtype=np.intp).reshape(-1)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] != columns.size:
+            raise ValueError(f"a block of shape {coeffs.shape} does not fit {columns.size} columns")
+        k = coeffs.shape[0]
+        rhs = np.asarray(rhs, dtype=float)
+        rhs = [float(rhs)] * k if rhs.ndim == 0 else rhs.tolist()
+        if len(rhs) != k:
+            raise ValueError(f"{len(rhs)} right-hand sides for {k} rows")
+        ordered = np.sort(columns)
+        if ordered.size and not 0 <= ordered[0] <= ordered[-1] < len(self.names):
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"constraint references undeclared variable {bad}")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("a block names a variable twice")
+        m = len(self._rows)
+        # Zeros are written as +0.0, as the rows add_constraint leaves out.
+        self._reserve(m + k)[m:m + k, columns] = np.where(coeffs != 0.0, coeffs, 0.0)
+        self._rows.extend([columns] * k)
+        self._senses.extend([sense] * k)
+        self._rhs.extend(rhs)
+        self._form = None
+        return range(m, m + k)
+
+    def _reserve(self, rows: int) -> np.ndarray:
+        """The coefficient array, grown to hold ``rows`` rows and every
+        declared variable; capacity at least doubles on the axis that
+        grows."""
+        r, c = self._coef.shape
+        n = len(self.names)
+        if rows > r or n > c:
+            coef = np.zeros((max(rows, 2 * r) if rows > r else r,
+                             max(n, 2 * c) if n > c else c))
+            coef[:r, :c] = self._coef
+            self._coef = coef
+        return self._coef
+
+    def _matrix(self) -> np.ndarray:
+        """The coefficients of the rows and variables declared so far."""
+        m = len(self._rows)
+        coef = self._reserve(m)
+        for i in self._pending:
+            row = coef[i]
+            for j, v in self._rows[i].items():
+                row[j] = v
+        self._pending.clear()
+        return coef[:m, :len(self.names)]
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
         n = len(self.names)
         for idx in coeffs:
             if not (0 <= idx < n):
                 raise ValueError(f"objective references undeclared variable {idx}")
-        self.objective = {k: float(v) for k, v in coeffs.items()}
+        self._objective = {k: float(v) for k, v in coeffs.items()}
+        self._form = None
 
     @property
     def num_vars(self) -> int:
@@ -174,7 +261,29 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self._senses)
+
+    @property
+    def senses(self) -> tuple[str, ...]:
+        return tuple(self._senses)
+
+    @property
+    def rhs(self) -> tuple[float, ...]:
+        return tuple(self._rhs)
+
+    @property
+    def objective(self) -> dict[int, float]:
+        """The objective's nonzero costs, as a copy."""
+        return dict(self._objective)
+
+    @property
+    def rows(self) -> list[dict[int, float]]:
+        """Each row's nonzero coefficients by variable, in the order they
+        were given, as copies."""
+        matrix = self._matrix()
+        return [dict(row) if isinstance(row, dict)
+                else {int(j): float(matrix[i, j]) for j in row if matrix[i, j] != 0.0}
+                for i, row in enumerate(self._rows)]
 
 
 @dataclass(frozen=True)
@@ -257,8 +366,8 @@ def rest_basis(lp: LinearProgram, columns) -> LpBasis:
     variable's index, or ``lp.num_vars + i`` for row ``i``'s slack) and every
     other column at rest, at 0 projected onto its bounds as in a cold
     solve."""
-    s_lb, s_ub = _slack_bounds(lp.senses)
-    status = _rest_at_zero(np.concatenate([lp.lb, s_lb]), np.concatenate([lp.ub, s_ub]))
+    form = _form(lp)
+    status = _rest_at_zero(np.concatenate([lp.lb, form.s_lb]), np.concatenate([lp.ub, form.s_ub]))
     columns = np.asarray(columns, dtype=np.intp)
     status[columns] = _BASIC
     return LpBasis(columns, status)
@@ -301,7 +410,7 @@ class _Tableau:
         self.lb = lb
         self.ub = ub
         self.m, self.N = A.shape
-        self.movable = np.where((ub - lb) > 0.0, 4, 0).astype(np.int8)
+        self.movable = ((ub - lb) > 0.0).view(np.int8) * 4
         self.max_iter = 200 * (self.m + self.N) + 2000
         self.c = np.zeros(self.N)
         self.stats = LpStats()
@@ -581,10 +690,46 @@ class _Tableau:
         raise LpError("iteration limit exceeded")
 
 
+class _Form(NamedTuple):
+    """A program's equality standard form ``A x + s = b``: its columns,
+    then one slack per row, whose bounds encode the senses, the costs
+    ``c`` over all columns, and ``abs(A)`` and ``max(1, abs(b))``, which
+    scale the final check."""
+
+    A: np.ndarray
+    b: np.ndarray
+    s_lb: np.ndarray
+    s_ub: np.ndarray
+    c: np.ndarray
+    magnitude: np.ndarray
+    floor: np.ndarray
+
+
+def _form(lp: LinearProgram) -> _Form:
+    """The standard form that ``lp`` holds, built once after its last
+    append: one copy of its coefficient matrix beside the slack identity.
+    Its arrays are read-only, so every solve can share them."""
+    if lp._form is None:
+        m, n = lp.num_rows, lp.num_vars
+        A = np.zeros((m, n + m))
+        A[:, :n] = lp._matrix()
+        A.reshape(-1)[n::n + m + 1] = 1.0  # row i's slack, column n + i
+        c = np.zeros(n + m)
+        c[list(lp._objective)] = list(lp._objective.values())
+        b = np.array(lp._rhs, dtype=float)
+        form = _Form(A, b, *_slack_bounds(lp._senses), c, np.abs(A), np.maximum(1.0, np.abs(b)))
+        for array in form:
+            array.flags.writeable = False
+        lp._form = form
+    return lp._form
+
+
 def _standard_form(lp: LinearProgram,
                    bound_overrides: dict[int, tuple[float, float]] | None):
-    n = lp.num_vars
-    m = lp.num_rows
+    """``A, b, lb, ub, c`` of ``lp``'s standard form (:func:`_form`), with
+    ``lb`` and ``ub`` fresh arrays of the bounds of every column, under
+    ``bound_overrides``."""
+    form = _form(lp)
     lb = np.array(lp.lb, dtype=float)
     ub = np.array(lp.ub, dtype=float)
     if bound_overrides:
@@ -592,22 +737,7 @@ def _standard_form(lp: LinearProgram,
             lb[j], ub[j] = float(lo), float(hi)
             if lo > hi:
                 raise ValueError(f"override lb {lo} > ub {hi} for var {j}")
-
-    # One slack per row: A x + s = b, slack bounds encode the sense.
-    N = n + m
-    A = np.zeros((m, N))
-    b = np.array(lp.rhs, dtype=float)
-    for i, row in enumerate(lp.rows):
-        for j, coef in row.items():
-            A[i, j] = coef
-        A[i, n + i] = 1.0
-    s_lb, s_ub = _slack_bounds(lp.senses)
-    full_lb = np.concatenate([lb, s_lb])
-    full_ub = np.concatenate([ub, s_ub])
-    c = np.zeros(N)
-    for j, coef in lp.objective.items():
-        c[j] = coef
-    return A, b, full_lb, full_ub, c
+    return form.A, form.b, np.concatenate([lb, form.s_lb]), np.concatenate([ub, form.s_ub]), form.c
 
 
 def solve_lp(lp: LinearProgram,
@@ -640,6 +770,7 @@ def solve_lp(lp: LinearProgram,
     mutating ``lp`` (used by the branch-and-bound driver).
     """
     A, b, lb, ub, c = _standard_form(lp, bound_overrides)
+    form = _form(lp)
     m, N = A.shape
     tab = None
     if basis is not None:
@@ -672,16 +803,13 @@ def solve_lp(lp: LinearProgram,
             if tab.simplex(c) != "optimal":
                 raise LpError("phase 2 did not end optimal after refactorisation")
         x = tab.values()
-        row_scale = np.abs(A) @ np.where(np.isfinite(x), np.abs(x), 0.0)
-        resid = A @ x - b
-        tolerance = _FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(b), row_scale))
-        rows_ok = bool(np.all(np.abs(resid) <= tolerance))
-        lo_gap = np.where(np.isfinite(lb), x - lb, 0.0)
-        hi_gap = np.where(np.isfinite(ub), ub - x, 0.0)
-        scale = np.maximum(1.0, np.abs(x))
-        bounds_ok = bool(np.all(lo_gap >= -_FEAS_TOL * scale)
-                         and np.all(hi_gap >= -_FEAS_TOL * scale))
-        if rows_ok and bounds_ok:
+        size = np.abs(x)
+        row_scale = form.magnitude @ np.where(np.isfinite(x), size, 0.0)
+        tolerance = _FEAS_TOL * np.maximum(form.floor, row_scale)
+        slack = -_FEAS_TOL * np.maximum(1.0, size)
+        if ((np.abs(A @ x - b) <= tolerance).all()
+                and (np.where(np.isfinite(lb), x - lb, 0.0) >= slack).all()
+                and (np.where(np.isfinite(ub), ub - x, 0.0) >= slack).all()):
             break
     else:
         raise LpError("solution failed final feasibility verification")

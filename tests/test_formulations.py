@@ -284,6 +284,20 @@ def _two_generator_mesh() -> Network:
     )
 
 
+def _leaf_reference_network() -> Network:
+    """The lowest id, ``a``, is a leaf generator behind ``a-b`` (capacity
+    10), and ``x-y`` (capacity 2) is a second, two-bus component.  Unit
+    susceptances: ``b-d`` (3) carries two thirds of ``a``'s output and
+    ``b-c-d`` (4, 10) one third, so ``b-d`` binds at 4.5; 6.5 in all."""
+    return Network(
+        buses=(Bus("a", BusKind.GENERATOR), Bus("b"), Bus("c"), Bus("d", BusKind.LOAD),
+               Bus("x", BusKind.GENERATOR), Bus("y", BusKind.LOAD)),
+        lines=(Line("a", "b", 1.0, 1.0, 10.0), Line("b", "c", 1.0, 1.0, 4.0),
+               Line("c", "d", 1.0, 1.0, 10.0), Line("b", "d", 1.0, 1.0, 3.0),
+               Line("x", "y", 1.0, 1.0, 2.0)),
+    )
+
+
 class TestShiftFactorMpf:
     """``solve_mpf`` solves the shift-factor form by row generation; HiGHS
     solves the angle form, sharing no code with it."""
@@ -373,6 +387,99 @@ class TestShiftFactorMpf:
         assert point.value == pytest.approx(16.5, abs=1e-9)
         assert point.basis.lines == (("a", "c"), ("a", "b"))
         assert rows == [1, 2, 3]  # the balance row, then one limit row per round
+
+    def test_the_worst_overload_enters_first(self, monkeypatch):
+        """Generator ``g`` (10) feeds load ``l`` through the unit triangle
+        ``a-b-c``: unlimited, ``a-c`` carries 20/3 against its capacity 2 and
+        ``a-b`` 10/3 against 3.  Only ``a-c`` enters the first round, and
+        with it ``a-b`` carries 1: the optimum is 3."""
+        pytest.importorskip("scipy.optimize")
+        rows = []
+
+        def counting(lp, bound_overrides=None, basis=None):
+            rows.append(lp.num_rows)
+            return solve_lp(lp, bound_overrides, basis)
+
+        monkeypatch.setattr(formulations, "solve_lp", counting)
+        net = Network(
+            buses=(Bus("a"), Bus("b"), Bus("c"), Bus("g", BusKind.GENERATOR),
+                   Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "a", 1.0, 1.0, 10.0), Line("c", "l", 1.0, 1.0, 20.0),
+                   Line("a", "b", 1.0, 1.0, 3.0), Line("b", "c", 1.0, 1.0, 10.0),
+                   Line("a", "c", 1.0, 1.0, 2.0)),
+        )
+        point = self._check(net)
+        assert point.value == pytest.approx(3.0, abs=1e-9)
+        assert point.basis.lines == (("a", "c"),)
+        assert rows == [1, 2]
+
+    def test_reference_leaf_and_two_bus_component(self):
+        pytest.importorskip("scipy.optimize")
+        net = _leaf_reference_network()
+        point = self._check(net)
+        assert point.value == pytest.approx(6.5, abs=1e-9)
+        assert point.theta["a"] == point.theta["x"] == 0.0
+        assert point.injections.flow[("x", "y")] == pytest.approx(2.0, abs=1e-12)
+        for which in ("mid", "upper"):
+            self._check(net, start_susceptances(net, which))
+        # A lone pair: both ends are leaves, and the reference stays.
+        pair = Network(buses=(Bus("g", BusKind.GENERATOR), Bus("l", BusKind.LOAD)),
+                       lines=(Line("g", "l", 2.0, 2.0, 7.0),))
+        point = self._check(pair)
+        assert point.value == pytest.approx(7.0, abs=1e-12)
+        assert (point.theta["g"], point.theta["l"]) == (0.0, pytest.approx(3.5, abs=1e-12))
+
+    def test_a_zero_susceptance_line_does_not_count_toward_a_leaf(self):
+        """At ``s = 0`` on ``g-h``, ``g`` is a leaf behind ``g-b`` and ``h``
+        is a component of its own; at ``s = 1``, ``g`` is no leaf and ``h``
+        is.  Either way ``a-b`` binds: it carries a third of what enters
+        the triangle at ``b``."""
+        pytest.importorskip("scipy.optimize")
+        net = Network(
+            buses=(Bus("a"), Bus("b"), Bus("c"), Bus("g", BusKind.GENERATOR),
+                   Bus("h", BusKind.GENERATOR), Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "b", 1.0, 1.0, 5.0), Line("a", "b", 1.0, 1.0, 0.5),
+                   Line("b", "c", 1.0, 1.0, 2.0), Line("c", "a", 1.0, 1.0, 10.0),
+                   Line("c", "l", 1.0, 1.0, 20.0), Line("g", "h", 0.0, 1.0, 10.0)),
+        )
+        split = self._check(net)
+        assert split.value == pytest.approx(1.5, abs=1e-9)
+        assert split.injections.gen["h"] == 0.0
+        assert split.injections.flow[("g", "h")] == 0.0
+        assert self._check(net, {("g", "h"): 1.0}).value == pytest.approx(1.5, abs=1e-9)
+
+    def test_two_leaves_on_one_core_bus(self):
+        """Generator ``g1`` and load ``l1`` both hang off ``b``, so their
+        injections share ``b``'s column of angle responses."""
+        pytest.importorskip("scipy.optimize")
+        net = Network(
+            buses=(Bus("a"), Bus("b"), Bus("c"), Bus("g1", BusKind.GENERATOR),
+                   Bus("g2", BusKind.GENERATOR), Bus("l1", BusKind.LOAD),
+                   Bus("l2", BusKind.LOAD)),
+            lines=(Line("g1", "b", 1.0, 1.0, 6.0), Line("l1", "b", 1.0, 1.0, 2.0),
+                   Line("g2", "a", 2.0, 2.0, 5.0), Line("l2", "c", 0.5, 0.5, 9.0),
+                   Line("a", "b", 1.0, 2.0, 1.5), Line("b", "c", 1.0, 1.0, 4.0),
+                   Line("c", "a", 1.0, 3.0, 1.0)),
+        )
+        for which in ("lower", "mid", "upper"):
+            point = self._check(net, start_susceptances(net, which))
+            assert point.injections.load["l1"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_infinite_capacity_leaf_line(self):
+        """No bound on ``g``'s injection: ``a-c`` (1) binds, carrying two
+        thirds of it, with the load behind a finite and then an infinite
+        leaf line."""
+        pytest.importorskip("scipy.optimize")
+        net = Network(
+            buses=(Bus("a"), Bus("b"), Bus("c"), Bus("g", BusKind.GENERATOR),
+                   Bus("l", BusKind.LOAD)),
+            lines=(Line("g", "a", 1.0, 1.0, math.inf), Line("a", "b", 1.0, 1.0, 2.0),
+                   Line("b", "c", 1.0, 1.0, 3.0), Line("a", "c", 1.0, 1.0, 1.0),
+                   Line("c", "l", 1.0, 1.0, 5.0)),
+        )
+        assert self._check(net).value == pytest.approx(1.5, abs=1e-9)
+        wide = Network(net.buses, net.lines[:4] + (Line("c", "l", 1.0, 1.0, math.inf),))
+        assert self._check(wide).value == pytest.approx(1.5, abs=1e-9)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_anchor_start_gives_the_same_optimum(self, family):

@@ -196,6 +196,67 @@ def test_declared_variable_enforcement():
         lp.add_var("bad", 2.0, 1.0)
 
 
+def test_block_rows_are_checked_like_single_rows():
+    lp = LinearProgram()
+    x, y = lp.add_var("x"), lp.add_var("y")
+    for columns, block in (([x, 2], [[1.0, 1.0]]), ([-1], [[1.0]]), ([x, x], [[1.0, 2.0]]),
+                           ([x, y], [[1.0]]), ([x, y], [1.0, 2.0])):
+        with pytest.raises(ValueError):
+            lp.add_rows(columns, block, "<=", 1.0)
+    with pytest.raises(ValueError):
+        lp.add_rows([x], [[1.0]], "<", 1.0)
+    assert lp.num_rows == 0
+    assert lp.add_rows([y, x], [[2.0, 0.0], [-1.0, 3.0]], ">=", [1.0, 2.0]) == range(0, 2)
+    assert lp.rows == [{y: 2.0}, {y: -1.0, x: 3.0}]
+    assert (lp.senses, lp.rhs) == ((">=", ">="), (1.0, 2.0))
+
+
+def test_a_grown_program_solves_as_a_fresh_copy():
+    """A solved program given a new variable, a row, a block row and new
+    costs, solved after each, solves as a copy of it built afresh, bit for
+    bit, cold and from the first solve's basis extended by the new
+    slacks."""
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(20261027)
+    solved = 0
+
+    def same_as_fresh(lp):
+        fresh = _rebuilt(lp, lp.rows, lp.objective)
+        for grown, copied in zip(linprog._standard_form(lp, None),
+                                 linprog._standard_form(fresh, None)):
+            assert np.array_equal(grown, copied)
+        res, cold = solve_lp(lp), solve_lp(fresh)
+        assert res.status == cold.status
+        assert (res.x is None and cold.x is None) or np.array_equal(res.x, cold.x)
+        return cold
+
+    for k in range(300):
+        lp = _random_program(rng) if k % 2 else _degenerate_program(rng)
+        first = solve_lp(lp)
+        z = lp.add_var("z", *rng.choice([(0.0, 2.0), (-1.0, INF), (-INF, INF)]))
+        same_as_fresh(lp)
+        lp.add_constraint({z: 1.0, rng.randrange(z): float(rng.randint(-2, 2))}, "<=",
+                          float(rng.randint(0, 4)))
+        same_as_fresh(lp)
+        columns = rng.sample(range(z + 1), rng.randint(1, z + 1))
+        lp.add_rows(columns, [[float(rng.randint(-3, 3)) for _ in columns]], ">=",
+                    float(rng.randint(-5, 0)))
+        same_as_fresh(lp)
+        lp.set_objective({**lp.objective, z: float(rng.randint(-2, 2))})
+        cold = same_as_fresh(lp)
+        assert cold.status == _highs(lp)[0]
+        solved += cold.x is not None
+        if first.basis is not None:
+            # The old slacks move past z; the two new rows keep their slacks.
+            old, m = first.basis.columns, lp.num_rows
+            start = linprog.rest_basis(lp, np.concatenate([old + (old >= z), [z + m - 1, z + m]]))
+            warm = solve_lp(lp, basis=start)
+            assert warm.status == cold.status
+            if cold.x is not None:
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    assert solved >= 100
+
+
 @pytest.mark.parametrize("lo, hi, expected", [
     (-3.0, 5.0, 0.0), (-INF, 5.0, 0.0), (-2.0, INF, 0.0), (-INF, INF, 0.0),
     (2.0, 7.0, 2.0), (-7.0, -2.0, -2.0), (-INF, -1.0, -1.0),
@@ -514,14 +575,24 @@ def _warm_matches_cold_and_highs(lp: LinearProgram, overrides, basis):
     return warm
 
 
+def _rebuilt(lp: LinearProgram, rows, objective) -> LinearProgram:
+    """A program with ``lp``'s variables and senses, but the row
+    coefficients ``rows`` and the costs ``objective``."""
+    other = LinearProgram()
+    for name, lo, hi in zip(lp.names, lp.lb, lp.ub):
+        other.add_var(name, lo, hi)
+    for row, sense, rhs in zip(rows, lp.senses, lp.rhs):
+        other.add_constraint(row, sense, rhs)
+    other.set_objective(objective)
+    return other
+
+
 def _redrawn(lp: LinearProgram, rng: random.Random) -> LinearProgram:
     """``lp`` with every row coefficient and cost drawn again, on the same
     nonzero pattern."""
-    other = copy.deepcopy(lp)
-    other.rows = [{j: float(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])) for j in row}
-                  for row in lp.rows]
-    other.objective = {j: float(rng.randint(-3, 3)) for j in lp.objective}
-    return other
+    rows = [{j: float(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])) for j in row}
+            for row in lp.rows]
+    return _rebuilt(lp, rows, {j: float(rng.randint(-3, 3)) for j in lp.objective})
 
 
 def test_warm_start_from_other_coefficients_matches_highs(monkeypatch):
@@ -593,14 +664,14 @@ def test_warm_start_after_loosening_and_tightening_matches_highs(monkeypatch):
 def _with_column_like(lp: LinearProgram, j: int, k: int, n: int, scale: float) -> LinearProgram:
     """``lp`` with column ``j`` replaced by ``scale`` times column ``k`` (a
     slack when ``k >= n``)."""
-    other = copy.deepcopy(lp)
-    column = ({i: row[k] for i, row in enumerate(lp.rows) if k in row} if k < n
+    rows = lp.rows
+    column = ({i: row[k] for i, row in enumerate(rows) if k in row} if k < n
               else {k - n: 1.0})
-    for i, row in enumerate(other.rows):
+    for i, row in enumerate(rows):
         row.pop(j, None)
         if i in column:
             row[j] = scale * column[i]
-    return other
+    return _rebuilt(lp, rows, lp.objective)
 
 
 @pytest.mark.parametrize("scale", [1.0, -3.0, 0.1])
